@@ -1,10 +1,11 @@
 package hdsampler
 
-// One benchmark per paper exhibit (see DESIGN.md's per-experiment index).
+// One benchmark per paper exhibit (ARCHITECTURE.md's paper→code table
+// maps each exhibit to its code; `hdbench -list` names the experiments).
 // Each runs the corresponding experiment at small scale and reports its
 // headline metrics, so `go test -bench=.` regenerates every table's
 // numbers in miniature; `cmd/hdbench -scale full` prints the full tables
-// recorded in EXPERIMENTS.md. Micro-benchmarks for the hot substrate paths
+// and `-json` records them. Micro-benchmarks for the hot substrate paths
 // follow at the end.
 
 import (

@@ -41,7 +41,6 @@ func main() {
 		pprofAddr = flag.String("pprof", "", "listen address for net/http/pprof profiling, e.g. localhost:6061 (empty = disabled)")
 		logLevel  = flag.String("log-level", "info", "log verbosity: debug | info | warn | error")
 		logFormat = flag.String("log-format", "text", "log output format: text | json")
-		parIsect  = flag.Bool("parallel-intersect", false, "split large multi-predicate posting-list intersections across GOMAXPROCS workers")
 	)
 	flag.Parse()
 	lg, err := telemetry.NewLogger(os.Stderr, *logLevel, *logFormat)
@@ -69,7 +68,6 @@ func main() {
 	}
 	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{
 		K: *k, CountMode: mode, CountNoise: *noise, NoiseSeed: uint64(*seed), QueryBudget: *budget,
-		ParallelIntersect: *parIsect,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

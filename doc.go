@@ -33,7 +33,8 @@
 //     memoization), micro-batching of concurrent distinct queries into
 //     one batch wire request, and an AIMD adaptive concurrency limiter
 //     with an aggregate per-host rate budget (Config.Exec tunes it)
-//   - internal/core — the samplers, rejection and pipeline
+//   - internal/core — the samplers, rejection, and the one draw loop
+//     behind every driver (Collect, Pipeline, Sampler, ReplicaSet)
 //   - internal/jobsvc — the sampling job-orchestration service behind
 //     cmd/hdsamplerd: worker pools, shared per-host history caches,
 //     politeness budgets, checkpoints and the REST API

@@ -135,25 +135,6 @@ func TestReplicaSetExecStats(t *testing.T) {
 	}
 }
 
-// TestReplicaSetExecDisable keeps the opt-out honest (the daemon relies
-// on it: its connector stacks already hold a shared executor).
-func TestReplicaSetExecDisable(t *testing.T) {
-	ds := datagen.Vehicles(200, 9)
-	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs, err := NewReplicaSet(context.Background(), LocalConn(db), Config{
-		Seed: 1, Exec: ExecConfig{Disable: true},
-	}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := rs.ExecStats(); ok {
-		t.Fatal("Disable did not bypass the execution layer")
-	}
-}
-
 // TestSliderZeroExplicit is the satellite regression: Config{Slider: 0,
 // SliderSet: true} must select the documented lowest-skew walk (an active
 // rejector, C < 1) instead of silently flipping to the accept-everything

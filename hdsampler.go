@@ -76,17 +76,15 @@ func (m Method) String() string {
 // ExecConfig tunes the query-execution layer (internal/queryexec):
 // single-flight coalescing of identical in-flight queries, micro-batching
 // of concurrent distinct queries, and AIMD-adaptive concurrency limiting
-// shared by every replica on the connector.
+// shared by every replica on the connector. Config.Exec states when the
+// layer is part of the stack.
 type ExecConfig struct {
-	// Disable bypasses the execution layer entirely. The jobsvc daemon
-	// sets this on its ReplicaSets: its per-host connector stacks already
-	// contain a shared executor.
-	Disable bool
 	// BatchLinger, when positive, holds wire-bound queries up to this
 	// long so concurrent distinct queries can share one batch request
 	// (POST /api/search/batch, one rate-limit charge for the whole
 	// batch). Effective only on batch-capable connectors (DialAPI,
-	// LocalConn); HTML scraping falls back to sequential execution.
+	// LocalConn) and only with more than one replica; HTML scraping
+	// falls back to sequential execution.
 	BatchLinger time.Duration
 	// MaxBatch bounds queries per batch request (default 16).
 	MaxBatch int
@@ -115,29 +113,6 @@ type ExecConfig struct {
 // sampler configured to survive blips must be wired through it).
 func (e ExecConfig) limited() bool {
 	return e.MaxInFlight > 0 || e.RatePerSec > 0 || e.TransientRetries > 0
-}
-
-// limiter builds the admission controller the knobs describe (nil when
-// none is set).
-func (e ExecConfig) limiter() *queryexec.Limiter {
-	if !e.limited() {
-		return nil
-	}
-	return queryexec.NewLimiter(queryexec.LimiterOptions{
-		MaxInFlight: e.MaxInFlight,
-		RatePerSec:  e.RatePerSec,
-		Burst:       e.Burst,
-	})
-}
-
-// options converts the knobs to the internal layer's options.
-func (e ExecConfig) options() queryexec.Options {
-	return queryexec.Options{
-		BatchLinger:      e.BatchLinger,
-		MaxBatch:         e.MaxBatch,
-		Limiter:          e.limiter(),
-		TransientRetries: e.TransientRetries,
-	}
 }
 
 // Config tunes a Sampler.
@@ -182,10 +157,13 @@ type Config struct {
 	AdaptiveQuantile float64
 	// AdaptiveWarmup is the calibration candidate count (default 100).
 	AdaptiveWarmup int
-	// Exec tunes the query-execution layer. A single Sampler routes
-	// through it only when an admission knob is set (a lone generator
-	// goroutine has nothing to coalesce or batch); ReplicaSet and
-	// DrawParallel always route through it unless Disable is set.
+	// Exec tunes the query-execution layer. One rule, derived from the
+	// number of replicas drawing, places it: with more than one replica
+	// (ReplicaSet, DrawParallel) the layer is always in the stack and
+	// BatchLinger applies; a lone replica (New, or DrawParallel with
+	// fewer samples than workers) has nothing to coalesce or batch, so
+	// it gets the layer only for an admission knob (MaxInFlight,
+	// RatePerSec, TransientRetries) and never lingers.
 	Exec ExecConfig
 	// Obs observes candidate draws: walk-duration histogram, sampled walk
 	// tracing, and the slow-walk log. The observer's instruments are
@@ -216,58 +194,92 @@ type Stats struct {
 	Elapsed        time.Duration
 }
 
-// Sampler is the assembled system: connector (optionally wrapped in the
-// history cache), generator, and rejection processor.
+// Stack is an assembled connector stack: the connector samplers draw
+// through, plus handles on the layers in it that report savings. New,
+// NewReplicaSet and DrawParallel assemble one from a Config; a service
+// that shares layers across many draws (the jobsvc daemon keeps one
+// executor and one history cache per target host) assembles its own and
+// passes it to NewReplicaSetOn.
+type Stack struct {
+	// Conn is the top of the stack, the connector generators query.
+	Conn Conn
+	// Cache is the history cache in the stack, nil without one.
+	Cache *history.Cache
+	// Exec is the execution layer in the stack, nil without one.
+	Exec *queryexec.Executor
+}
+
+// newStack assembles the stack cfg describes for the given number of
+// replicas (see Config.Exec for the rule). The execution layer sits
+// below the cache: cache misses are the queries worth coalescing,
+// batching and rate-bounding.
+func newStack(conn Conn, cfg Config, replicas int) Stack {
+	st := Stack{Conn: conn}
+	concurrent, limited := replicas > 1, cfg.Exec.limited()
+	if concurrent || limited {
+		opts := queryexec.Options{
+			MaxBatch:         cfg.Exec.MaxBatch,
+			TransientRetries: cfg.Exec.TransientRetries,
+		}
+		if concurrent {
+			opts.BatchLinger = cfg.Exec.BatchLinger
+		}
+		if limited {
+			opts.Limiter = queryexec.NewLimiter(queryexec.LimiterOptions{
+				MaxInFlight: cfg.Exec.MaxInFlight,
+				RatePerSec:  cfg.Exec.RatePerSec,
+				Burst:       cfg.Exec.Burst,
+			})
+		}
+		st.Exec = queryexec.New(conn, opts)
+		st.Conn = st.Exec
+	}
+	if cfg.UseHistory {
+		st.Cache = history.New(st.Conn, history.Options{TrustCounts: cfg.TrustCounts})
+		st.Conn = st.Cache
+	}
+	return st
+}
+
+// Sampler is the assembled system: connector stack, generator, and
+// rejection processor.
 type Sampler struct {
-	conn   Conn
-	cache  *history.Cache
-	exec   *queryexec.Executor
+	stack  Stack
 	gen    core.Generator
 	rej    core.Acceptor
 	schema *Schema
-	cfg    Config
 }
 
 // New assembles a sampler over the connector.
 func New(ctx context.Context, conn Conn, cfg Config) (*Sampler, error) {
-	schema, err := conn.Schema(ctx)
+	return newSampler(ctx, newStack(conn, cfg, 1), cfg)
+}
+
+// newSampler builds the generator and rejection processor cfg describes
+// over an assembled stack; cfg's stack knobs are not consulted. It is
+// the one sampler constructor: New builds one, a ReplicaSet one per
+// replica.
+func newSampler(ctx context.Context, st Stack, cfg Config) (*Sampler, error) {
+	schema, err := st.Conn.Schema(ctx)
 	if err != nil {
 		return nil, err
 	}
-	s := &Sampler{conn: conn, schema: schema, cfg: cfg}
-	effective := conn
-	// The execution layer sits below the cache: cache misses are the
-	// queries worth rate-bounding. A lone sampler has no concurrency to
-	// coalesce or batch (its generator issues queries sequentially, so a
-	// linger window could only ever hold one query and would add pure
-	// latency), so it routes through the layer only when an admission
-	// knob asks for it; ReplicaSet wires the full layer for the
-	// concurrent paths.
-	if !cfg.Exec.Disable && cfg.Exec.limited() {
-		opts := cfg.Exec.options()
-		opts.BatchLinger = 0
-		s.exec = queryexec.New(conn, opts)
-		effective = s.exec
-	}
-	if cfg.UseHistory {
-		s.cache = history.New(effective, history.Options{TrustCounts: cfg.TrustCounts})
-		effective = s.cache
-	}
+	s := &Sampler{stack: st, schema: schema}
 	order := core.OrderFixed
 	if cfg.ShuffleOrder {
 		order = core.OrderShuffle
 	}
 	switch cfg.Method {
 	case MethodRandomWalk:
-		s.gen, err = core.NewWalker(ctx, effective, core.WalkerConfig{
+		s.gen, err = core.NewWalker(ctx, st.Conn, core.WalkerConfig{
 			Seed: cfg.Seed, Order: order, Attrs: cfg.Attrs, Obs: cfg.Obs,
 		})
 	case MethodBruteForce:
-		s.gen, err = core.NewBruteForce(ctx, effective, core.BruteForceConfig{
+		s.gen, err = core.NewBruteForce(ctx, st.Conn, core.BruteForceConfig{
 			Seed: cfg.Seed, Attrs: cfg.Attrs,
 		})
 	case MethodCountWeighted:
-		s.gen, err = core.NewCountWalker(ctx, effective, core.CountWalkerConfig{
+		s.gen, err = core.NewCountWalker(ctx, st.Conn, core.CountWalkerConfig{
 			Seed: cfg.Seed, Order: order, Attrs: cfg.Attrs,
 			UseParentCount: cfg.UseParentCount, Obs: cfg.Obs,
 		})
@@ -332,22 +344,38 @@ func (s *Sampler) C() float64 {
 // deltas: QueriesSaved is windowed over this call like every other
 // counter, so consecutive Draws never double-report cache savings.
 func (s *Sampler) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
+	out := make([]Tuple, 0, max(n, 0))
+	st, err := s.draw(ctx, n, s.rej, func(c *core.Candidate) error {
+		out = append(out, c.Tuple)
+		return nil
+	})
+	return out, st, err
+}
+
+// draw runs the core.Draw loop for n accepted samples on the calling
+// goroutine, handing each to emit, and reports the call's stats.
+func (s *Sampler) draw(ctx context.Context, n int, rej core.Acceptor, emit func(*core.Candidate) error) (Stats, error) {
+	if n <= 0 {
+		return Stats{}, nil
+	}
+	start := time.Now()
 	var saved0 int64
-	if s.cache != nil {
-		saved0 = s.cache.CacheStats().Saved()
+	if s.stack.Cache != nil {
+		saved0 = s.stack.Cache.CacheStats().Saved()
 	}
-	tuples, cs, err := core.Collect(ctx, s.gen, s.rej, n)
+	var t core.Tally
+	err := core.Draw(ctx, s.gen, rej, n, &t, emit)
 	st := Stats{
-		Candidates: cs.Candidates,
-		Accepted:   cs.Accepted,
-		Rejected:   cs.Rejected,
-		Queries:    cs.Queries,
-		Elapsed:    cs.Elapsed,
+		Candidates: t.Candidates.Load(),
+		Accepted:   t.Accepted.Load(),
+		Rejected:   t.Rejected.Load(),
+		Queries:    t.Queries.Load(),
+		Elapsed:    time.Since(start),
 	}
-	if s.cache != nil {
-		st.QueriesSaved = s.cache.CacheStats().Saved() - saved0
+	if s.stack.Cache != nil {
+		st.QueriesSaved = s.stack.Cache.CacheStats().Saved() - saved0
 	}
-	return tuples, st, err
+	return st, err
 }
 
 // NewPipeline returns an incremental pipeline targeting n samples (0 = run
@@ -359,18 +387,18 @@ func (s *Sampler) NewPipeline(n int) *Pipeline {
 // ExecStats returns the execution layer's counters; ok is false when the
 // sampler runs without the layer.
 func (s *Sampler) ExecStats() (ExecStats, bool) {
-	if s.exec == nil {
+	if s.stack.Exec == nil {
 		return ExecStats{}, false
 	}
-	return s.exec.ExecStats(), true
+	return s.stack.Exec.ExecStats(), true
 }
 
 // HistoryStats returns (saved, issued) query counts when UseHistory is on.
 func (s *Sampler) HistoryStats() (saved, issued int64) {
-	if s.cache == nil {
+	if s.stack.Cache == nil {
 		return 0, 0
 	}
-	cs := s.cache.CacheStats()
+	cs := s.stack.Cache.CacheStats()
 	return cs.Saved(), cs.Issued
 }
 

@@ -544,6 +544,23 @@ func TestPipelineTargetAndProgress(t *testing.T) {
 			t.Fatal("malformed sample")
 		}
 	}
+
+	// A bounded pipeline starts no walk past its target: the generator's
+	// own query count equals the bill the pipeline reports, seed after
+	// seed.
+	for seed := int64(1); seed <= 50; seed++ {
+		w, err := NewWalker(ctx, formclient.NewLocal(db), WalkerConfig{Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := NewPipeline(w, NewRejector(0.125, seed), PipelineConfig{Target: 5})
+		for range p.Start(ctx) {
+		}
+		if gen, pr := w.GenStats(), p.Progress(); gen.Queries != pr.Queries || gen.Candidates != pr.Candidates {
+			t.Fatalf("seed %d: generator issued %d queries for %d candidates, pipeline billed %d for %d",
+				seed, gen.Queries, gen.Candidates, pr.Queries, pr.Candidates)
+		}
+	}
 }
 
 func TestPipelineElapsedFreezesAtCompletion(t *testing.T) {

@@ -2,9 +2,12 @@
 // HIDDEN-DB-SAMPLER random drill-down (SIGMOD 2007), the provably-uniform
 // BRUTE-FORCE-SAMPLER validation baseline, the count-weighted drill-down
 // from the ICDE 2009 count-leveraging work, the acceptance/rejection
-// processor realizing the demo's efficiency↔skew slider, and the
-// incremental Generator → Processor → Output pipeline of the demo's
-// architecture (Figure 2), complete with its kill switch.
+// processor realizing the demo's efficiency↔skew slider, and Draw, the
+// one sampling loop (draw a candidate, decide on it, emit it, stop
+// exactly at the target) behind every driver: Collect, the incremental
+// Generator → Processor → Output Pipeline of the demo's architecture
+// (Figure 2) with its kill switch, and the root package's samplers and
+// replica sets.
 //
 // All samplers access the hidden database exclusively through a
 // formclient.Conn — the conjunctive top-k interface — and never see

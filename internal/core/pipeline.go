@@ -24,13 +24,10 @@ type Progress struct {
 	Accepted   int64
 	Rejected   int64
 	// Queries is the interface query bill of every candidate the pipeline
-	// has processed (accepted or rejected), attributed from each
-	// candidate's own draw cost. Attribution makes the completed-run
-	// figure a pure function of the candidate sequence: the generator
-	// goroutine prefetches ahead of the consumer, so reading the
-	// generator's raw counter would include a scheduling-dependent number
-	// of walks past the target — and the scenario matrix gates on
-	// reproducible costs.
+	// has decided on (accepted or rejected), summed from each candidate's
+	// own draw cost, plus the cost of a draw that failed. The loop never
+	// starts a walk past the target, so a completed run's figure equals
+	// the generator's own query count.
 	Queries int64
 	Elapsed time.Duration
 	// Done reports that the pipeline has stopped (target reached, error,
@@ -38,6 +35,50 @@ type Progress struct {
 	Done bool
 	// Err is the terminal error, if any (nil on clean completion).
 	Err error
+}
+
+// Tally counts one draw loop's work. The counters are atomic so live
+// progress displays can read them while the loop runs.
+type Tally struct {
+	Candidates, Accepted, Rejected, Queries atomic.Int64
+}
+
+// Draw is the sampling loop every driver runs — Collect, Pipeline, and
+// the root package's samplers and replica sets: draw a candidate from
+// gen, decide on it with rej (nil accepts everything), hand an accepted
+// one to emit, and stop as soon as n candidates are accepted (n < 0
+// never stops on count). It also stops on context cancellation, on a
+// generator error, and when emit fails, returning that error. The loop
+// runs on the caller's goroutine and starts no walk it will not use,
+// so the generator's query count never runs past the target. t must be
+// zero at the call; it receives the loop's counters.
+func Draw(ctx context.Context, gen Generator, rej Acceptor, n int, t *Tally, emit func(*Candidate) error) error {
+	q0 := gen.GenStats().Queries
+	for n < 0 || t.Accepted.Load() < int64(n) {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		cand, err := gen.Candidate(ctx)
+		if err != nil {
+			// Bill the failed draw's queries too: the generator's counter
+			// is exact because nothing runs ahead of this loop.
+			t.Queries.Store(gen.GenStats().Queries - q0)
+			return err
+		}
+		t.Candidates.Add(1)
+		t.Queries.Add(int64(cand.Queries))
+		if rej != nil && !rej.Accept(cand) {
+			cand.Trace.Decide(false)
+			t.Rejected.Add(1)
+			continue
+		}
+		cand.Trace.Decide(true)
+		t.Accepted.Add(1)
+		if err := emit(cand); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // PipelineConfig tunes a pipeline run.
@@ -49,11 +90,13 @@ type PipelineConfig struct {
 	Buffer int
 }
 
-// Pipeline wires a Generator to a Rejector and streams accepted samples —
-// the demo's incremental Sample Generator → Sample Processor → Output
-// Module loop (Figure 2). Consumers read from Samples; the kill switch is
-// Stop or context cancellation. After Samples closes, Err reports the
-// terminal error.
+// Pipeline streams accepted samples from a Generator through an Acceptor
+// — the demo's incremental Sample Generator → Sample Processor → Output
+// Module loop (Figure 2). The three stages are one Draw loop on one
+// goroutine: the split is of responsibilities, and a sample's cost is
+// counted in interface queries, which a prefetching generator would only
+// waste. Consumers read from Samples; the kill switch is Stop or context
+// cancellation. After Samples closes, Err reports the terminal error.
 type Pipeline struct {
 	gen Generator
 	rej Acceptor
@@ -62,14 +105,11 @@ type Pipeline struct {
 	samples chan Sample
 	cancel  context.CancelFunc
 
-	candidates atomic.Int64
-	accepted   atomic.Int64
-	rejected   atomic.Int64
-	queries    atomic.Int64
-	start      time.Time
-	elapsed    atomic.Int64 // frozen run duration (ns), set before done
-	done       atomic.Bool
-	err        atomic.Value // error
+	tally   Tally
+	start   time.Time
+	elapsed atomic.Int64 // frozen run duration (ns), set before done
+	done    atomic.Bool
+	err     atomic.Value // error
 }
 
 // NewPipeline builds a pipeline; rej may be nil to accept every candidate.
@@ -86,57 +126,28 @@ func (p *Pipeline) Start(ctx context.Context) <-chan Sample {
 	ctx, p.cancel = context.WithCancel(ctx)
 	p.samples = make(chan Sample, p.cfg.Buffer)
 	p.start = time.Now()
-
-	// The generator is not concurrency-safe, so candidates are produced in
-	// a single goroutine; the processor stage runs in a second goroutine,
-	// mirroring the demo's module split.
-	candidates := make(chan *Candidate, p.cfg.Buffer)
+	n := p.cfg.Target
+	if n <= 0 {
+		n = -1
+	}
 	go func() {
-		defer close(candidates)
-		for ctx.Err() == nil {
-			cand, err := p.gen.Candidate(ctx)
-			if err != nil {
-				if ctx.Err() == nil {
-					p.err.Store(err)
-				}
-				return
-			}
-			p.candidates.Add(1)
+		err := Draw(ctx, p.gen, p.rej, n, &p.tally, func(c *Candidate) error {
 			select {
-			case candidates <- cand:
+			case p.samples <- Sample{Tuple: c.Tuple, Reach: c.Reach, Queries: c.Queries}:
+				return nil
 			case <-ctx.Done():
-				return
+				return ctx.Err()
 			}
+		})
+		if err != nil && ctx.Err() == nil {
+			p.err.Store(err)
 		}
-	}()
-	go func() {
-		defer func() {
-			// Freeze the run duration before publishing done, so Progress
-			// never reports a finished pipeline with a still-ticking clock.
-			p.elapsed.Store(int64(time.Since(p.start)))
-			p.done.Store(true)
-			p.cancel()
-			close(p.samples)
-		}()
-		for cand := range candidates {
-			p.queries.Add(int64(cand.Queries))
-			if p.rej != nil && !p.rej.Accept(cand) {
-				cand.Trace.Decide(false)
-				p.rejected.Add(1)
-				continue
-			}
-			cand.Trace.Decide(true)
-			p.accepted.Add(1)
-			s := Sample{Tuple: cand.Tuple, Reach: cand.Reach, Queries: cand.Queries}
-			select {
-			case p.samples <- s:
-			case <-ctx.Done():
-				return
-			}
-			if p.cfg.Target > 0 && p.accepted.Load() >= int64(p.cfg.Target) {
-				return
-			}
-		}
+		// Freeze the run duration before publishing done, so Progress
+		// never reports a finished pipeline with a still-ticking clock.
+		p.elapsed.Store(int64(time.Since(p.start)))
+		p.done.Store(true)
+		p.cancel()
+		close(p.samples)
 	}()
 	return p.samples
 }
@@ -161,10 +172,10 @@ func (p *Pipeline) Err() error {
 // Progress returns a live snapshot.
 func (p *Pipeline) Progress() Progress {
 	pr := Progress{
-		Candidates: p.candidates.Load(),
-		Accepted:   p.accepted.Load(),
-		Rejected:   p.rejected.Load(),
-		Queries:    p.queries.Load(),
+		Candidates: p.tally.Candidates.Load(),
+		Accepted:   p.tally.Accepted.Load(),
+		Rejected:   p.tally.Rejected.Load(),
+		Queries:    p.tally.Queries.Load(),
 		Done:       p.done.Load(),
 		Err:        p.Err(),
 	}
@@ -188,34 +199,24 @@ type CollectStats struct {
 	Elapsed    time.Duration
 }
 
-// Collect synchronously draws n accepted samples, a convenience wrapper
-// over the pipeline for programmatic use.
+// Collect synchronously draws n accepted samples with the Draw loop on
+// the calling goroutine, for programmatic use.
 func Collect(ctx context.Context, gen Generator, rej Acceptor, n int) ([]hiddendb.Tuple, CollectStats, error) {
-	startQueries := gen.GenStats().Queries
 	start := time.Now()
-	var stats CollectStats
-	out := make([]hiddendb.Tuple, 0, n)
-	for len(out) < n {
-		if err := ctx.Err(); err != nil {
-			return out, stats, err
-		}
-		cand, err := gen.Candidate(ctx)
-		if err != nil {
-			stats.Queries = gen.GenStats().Queries - startQueries
-			stats.Elapsed = time.Since(start)
-			return out, stats, err
-		}
-		stats.Candidates++
-		if rej != nil && !rej.Accept(cand) {
-			cand.Trace.Decide(false)
-			stats.Rejected++
-			continue
-		}
-		cand.Trace.Decide(true)
-		stats.Accepted++
-		out = append(out, cand.Tuple)
+	out := make([]hiddendb.Tuple, 0, max(n, 0))
+	var err error
+	var t Tally
+	if n > 0 {
+		err = Draw(ctx, gen, rej, n, &t, func(c *Candidate) error {
+			out = append(out, c.Tuple)
+			return nil
+		})
 	}
-	stats.Queries = gen.GenStats().Queries - startQueries
-	stats.Elapsed = time.Since(start)
-	return out, stats, nil
+	return out, CollectStats{
+		Candidates: t.Candidates.Load(),
+		Accepted:   t.Accepted.Load(),
+		Rejected:   t.Rejected.Load(),
+		Queries:    t.Queries.Load(),
+		Elapsed:    time.Since(start),
+	}, err
 }

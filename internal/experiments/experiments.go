@@ -3,9 +3,9 @@
 // (top-k limits of real sites, the efficiency↔skew slider, history
 // savings, brute-force impracticality, count leveraging, aggregate
 // accuracy, scalability, attribute ordering). Each experiment returns a
-// Table whose rows cmd/hdbench prints and whose Metrics the root package's
-// benchmarks report, so the numbers in EXPERIMENTS.md are reproducible
-// from either entry point.
+// Table whose rows cmd/hdbench prints (and records with -json) and whose
+// Metrics the root package's benchmarks report, so every exhibit's
+// numbers are reproducible from either entry point.
 package experiments
 
 import (

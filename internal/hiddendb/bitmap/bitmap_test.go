@@ -123,38 +123,6 @@ func TestOutOfOrderAdd(t *testing.T) {
 	}
 }
 
-func TestSelectRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for name, vals := range shapes(rng) {
-		for _, opt := range []bool{false, true} {
-			b, ref := refSet(t, vals, opt)
-			for _, i := range []int{0, 1, len(ref) / 3, len(ref) / 2, len(ref) - 1} {
-				got, ok := b.Select(i)
-				if !ok || got != ref[i] {
-					t.Fatalf("%s(opt=%v): Select(%d) = %d,%v want %d", name, opt, i, got, ok, ref[i])
-				}
-				if r := b.Rank(ref[i]); r != i {
-					t.Fatalf("%s(opt=%v): Rank(%d) = %d, want %d", name, opt, ref[i], r, i)
-				}
-			}
-			if _, ok := b.Select(-1); ok {
-				t.Fatalf("%s: Select(-1) succeeded", name)
-			}
-			if _, ok := b.Select(len(ref)); ok {
-				t.Fatalf("%s: Select(card) succeeded", name)
-			}
-			// Rank of an absent value counts the values below it.
-			for i := 0; i < 100; i++ {
-				v := rng.Uint32()
-				want := sort.Search(len(ref), func(i int) bool { return ref[i] >= v })
-				if r := b.Rank(v); r != want {
-					t.Fatalf("%s(opt=%v): Rank(%d) = %d, want %d", name, opt, v, r, want)
-				}
-			}
-		}
-	}
-}
-
 func TestResetReuse(t *testing.T) {
 	b := New()
 	for i := uint32(0); i < 100000; i += 3 {

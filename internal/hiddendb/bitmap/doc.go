@@ -21,14 +21,9 @@
 // keys are processed in ascending order, results stream out smallest
 // value first — rank order, when the values are rank positions.
 //
-// The package is allocation-disciplined: IntersectInto, Or and AndNot
-// write into a caller-owned destination Bitmap whose container storage
-// is recycled across calls (Reset keeps capacity), so a pooled
-// destination makes repeated intersections allocation-free at steady
-// state. ParallelIntersectInto splits the container key space across
-// workers for large multi-list intersections.
-//
-// Rank/select are first-class: Select(i) returns the i-th smallest
-// value in O(#containers + 64), Rank(x) counts values below x, and
-// Iterator streams values in ascending order without allocating.
+// The package is allocation-disciplined: IntersectInto writes into a
+// caller-owned destination Bitmap whose container storage is recycled
+// across calls (Reset keeps capacity), so a pooled destination makes
+// repeated intersections allocation-free at steady state, and Iterator
+// streams values in ascending order without allocating.
 package bitmap

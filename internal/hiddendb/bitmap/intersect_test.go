@@ -184,78 +184,3 @@ func TestIntersectAllocFree(t *testing.T) {
 		t.Fatalf("steady-state IntersectInto allocated %.1f per call, want 0", n)
 	}
 }
-
-func TestParallelIntersect(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	for _, workers := range []int{1, 2, 3, 8, 64} {
-		refs, bms := genSets(rng, 1<<22, 20000, 300000, 500000)
-		want := intersectRef(refs...)
-		dst := New()
-		got := ParallelIntersectInto(dst, bms, workers)
-		if got != len(want) {
-			t.Fatalf("workers=%d: cardinality %d, want %d", workers, got, len(want))
-		}
-		vals := collect(dst)
-		for i := range want {
-			if vals[i] != want[i] {
-				t.Fatalf("workers=%d: value[%d] = %d, want %d", workers, i, vals[i], want[i])
-			}
-		}
-	}
-}
-
-func TestOrAndNot(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	for round := 0; round < 4; round++ {
-		refs, bms := genSets(rng, 1<<19, 4000+round*10000, 50000)
-		ra, rb := refs[0], refs[1]
-		inB := make(map[uint32]bool, len(rb))
-		for _, v := range rb {
-			inB[v] = true
-		}
-		union := append([]uint32{}, ra...)
-		for _, v := range rb {
-			if !containsSorted(ra, v) {
-				union = append(union, v)
-			}
-		}
-		sort.Slice(union, func(i, j int) bool { return union[i] < union[j] })
-		diff := make([]uint32, 0, len(ra))
-		for _, v := range ra {
-			if !inB[v] {
-				diff = append(diff, v)
-			}
-		}
-
-		dst := New()
-		if got := Or(dst, bms[0], bms[1]); got != len(union) {
-			t.Fatalf("round %d: Or cardinality %d, want %d", round, got, len(union))
-		}
-		if vals := collect(dst); !equalU32(vals, union) {
-			t.Fatalf("round %d: Or contents diverge", round)
-		}
-		if got := AndNot(dst, bms[0], bms[1]); got != len(diff) {
-			t.Fatalf("round %d: AndNot cardinality %d, want %d", round, got, len(diff))
-		}
-		if vals := collect(dst); !equalU32(vals, diff) {
-			t.Fatalf("round %d: AndNot contents diverge", round)
-		}
-	}
-}
-
-func containsSorted(s []uint32, v uint32) bool {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= v })
-	return i < len(s) && s[i] == v
-}
-
-func equalU32(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}

@@ -149,8 +149,9 @@ type View struct {
 
 	// Live progress: accepted samples, candidates drawn, rejections, the
 	// interface query bill and what the shared history cache saved.
-	// QueriesSaved is the cache's savings over the job's lifetime window,
-	// so jobs overlapping on one host each see the window's total; the
+	// QueriesSaved is the cache's savings over the job's run window (its
+	// replica set's lifetime, plus any resumed base), so jobs overlapping
+	// on one host each see the window's total; the
 	// exact global figure is the host cache counter on /metrics.
 	Accepted       int64   `json:"accepted"`
 	Candidates     int64   `json:"candidates"`

@@ -187,7 +187,6 @@ type hostEntry struct {
 // trusted and untrusted inference disagree.
 type target struct {
 	key    string // connector + "|" + URL, the checkpoint identity
-	conn   formclient.Conn
 	exec   *queryexec.Executor
 	fault  faultform.Faulty // nil without a fault profile
 	caches map[bool]*history.Cache
@@ -201,7 +200,6 @@ type job struct {
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	cache  *history.Cache // shared per-host cache this job draws through (nil with NoHistory)
 
 	// Journal-replay base: progress a previous run (earlier lease epoch)
 	// already paid for, adopted at restore time and folded into every
@@ -223,7 +221,6 @@ type job struct {
 	epoch      int64 // current journal lease epoch (0 = never leased)
 	rs         *hdsampler.ReplicaSet
 	crawler    *core.Crawler
-	savedAt0   int64
 	finalStats hdsampler.Stats
 	err        error
 	set        *store.SampleSet
@@ -324,12 +321,11 @@ func (m *Manager) Submit(spec Spec) (View, error) {
 
 	// Assemble the connector stack before publishing the job, so every
 	// field concurrent view() calls read is in place first.
-	conn, cache := host.connFor(spec, m.cfg)
+	st := host.connFor(spec, m.cfg)
 	j := &job{
 		id:      id,
 		spec:    spec,
 		host:    u.Host,
-		cache:   cache,
 		state:   StateQueued,
 		created: created,
 	}
@@ -354,7 +350,7 @@ func (m *Manager) Submit(spec Spec) (View, error) {
 	m.wg.Add(1)
 	m.mu.Unlock()
 
-	go m.run(j, conn)
+	go m.run(j, st)
 	return j.view(), nil
 }
 
@@ -431,14 +427,13 @@ func (m *Manager) restore(rep *jobq.Replay) {
 		//hdlint:ignore ctxflow a requeued job outlives the restore; its lifetime is bounded by cancel via Cancel/Shutdown, not by any caller context
 		j.ctx, j.cancel = context.WithCancel(context.Background())
 		host := m.hostLocked(u.Host)
-		conn, cache := host.connFor(spec, m.cfg)
-		j.cache = cache
+		st := host.connFor(spec, m.cfg)
 		m.jobs[j.id] = j
 		m.order = append(m.order, j.id)
 		m.wg.Add(1)
 		m.lg.Info("requeued interrupted job from journal",
 			"job", j.id, "epoch", jr.Epoch, "accepted_base", len(j.baseTuples))
-		go m.run(j, conn)
+		go m.run(j, st)
 	}
 }
 
@@ -529,11 +524,12 @@ func (m *Manager) hostLocked(host string) *hostEntry {
 }
 
 // connFor assembles the job's connector stack: base conn (shared per
-// target URL) → shared execution layer (coalescing, micro-batching,
-// host-wide AIMD admission) → shared history cache (unless opted out) →
-// per-job query budget. A cache created here is warm-started from its
-// HistoryDir checkpoint, when one exists.
-func (he *hostEntry) connFor(spec Spec, cfg Config) (formclient.Conn, *history.Cache) {
+// target URL, below the fault profile when one is configured) → shared
+// execution layer (coalescing, micro-batching, host-wide AIMD admission)
+// → shared history cache (unless opted out) → per-job query budget. A
+// cache created here is warm-started from its HistoryDir checkpoint,
+// when one exists.
+func (he *hostEntry) connFor(spec Spec, cfg Config) hdsampler.Stack {
 	key := spec.Connector + "|" + spec.URL
 
 	he.mu.Lock()
@@ -562,10 +558,10 @@ func (he *hostEntry) connFor(spec Spec, cfg Config) (formclient.Conn, *history.C
 			Wire:        he.wire,
 			ExecLatency: he.execH,
 		})
-		tg = &target{key: key, conn: exec, exec: exec, fault: fault, caches: make(map[bool]*history.Cache)}
+		tg = &target{key: key, exec: exec, fault: fault, caches: make(map[bool]*history.Cache)}
 		he.targets[key] = tg
 	}
-	var conn formclient.Conn = tg.conn
+	st := hdsampler.Stack{Conn: tg.exec, Exec: tg.exec}
 	cache, haveCache := tg.caches[spec.TrustCounts]
 	he.mu.Unlock()
 
@@ -575,7 +571,7 @@ func (he *hostEntry) connFor(spec Spec, cfg Config) (formclient.Conn, *history.C
 			// publishing it, so no job ever draws through a half-restored
 			// cache and no stale checkpoint entry can overwrite an answer
 			// a live job just paid for.
-			fresh := history.New(tg.conn, history.Options{
+			fresh := history.New(tg.exec, history.Options{
 				TrustCounts: spec.TrustCounts,
 				MaxEntries:  cfg.CacheMaxEntries,
 				Lookup:      he.lookup,
@@ -592,15 +588,13 @@ func (he *hostEntry) connFor(spec Spec, cfg Config) (formclient.Conn, *history.C
 			}
 			he.mu.Unlock()
 		}
-		conn = cache
-	} else {
-		cache = nil
+		st.Conn, st.Cache = cache, cache
 	}
 
 	if spec.MaxQueries > 0 && spec.Method != MethodCrawl {
-		conn = &budgetConn{inner: conn, budget: spec.MaxQueries}
+		st.Conn = &budgetConn{inner: st.Conn, budget: spec.MaxQueries}
 	}
-	return conn, cache
+	return st
 }
 
 // faultProfile resolves the configured fault preset; ok is false when
@@ -711,7 +705,7 @@ func (m *Manager) dumpHistory() {
 }
 
 // run executes one job to completion; it owns the job's state machine.
-func (m *Manager) run(j *job, conn formclient.Conn) {
+func (m *Manager) run(j *job, st hdsampler.Stack) {
 	defer m.wg.Done()
 
 	// Acquire a run slot; cancellation while queued finishes the job
@@ -727,9 +721,6 @@ func (m *Manager) run(j *job, conn formclient.Conn) {
 	j.mu.Lock()
 	j.state = StateRunning
 	j.started = time.Now().UTC()
-	if j.cache != nil {
-		j.savedAt0 = j.cache.CacheStats().Saved()
-	}
 	j.mu.Unlock()
 
 	// Take the run's lease epoch: every checkpoint and the terminal
@@ -749,7 +740,7 @@ func (m *Manager) run(j *job, conn formclient.Conn) {
 	}
 
 	if j.spec.Method == MethodCrawl {
-		m.runCrawl(j, conn)
+		m.runCrawl(j, st)
 		return
 	}
 
@@ -766,12 +757,6 @@ func (m *Manager) run(j *job, conn formclient.Conn) {
 		C:            j.spec.C,
 		K:            j.spec.K,
 		ShuffleOrder: !j.spec.NoShuffle,
-		// History, when on, is already in the conn stack (shared across
-		// jobs); the replicas must not wrap another cache on top. The
-		// same goes for the execution layer: the shared per-host
-		// executor sits below the caches.
-		UseHistory: false,
-		Exec:       hdsampler.ExecConfig{Disable: true},
 		// One observer per job: the duration histogram series carries the
 		// job label, while the tracer, slow-walk counter and logger are the
 		// daemon-wide instruments. Replicas share it (its instruments are
@@ -802,7 +787,7 @@ func (m *Manager) run(j *job, conn formclient.Conn) {
 		// first run (epoch 1) keeps the spec seed exactly.
 		cfg.Seed = j.spec.Seed + (epoch-1)*1_000_003
 	}
-	rs, err := hdsampler.NewReplicaSet(j.ctx, conn, cfg, j.spec.Workers)
+	rs, err := hdsampler.NewReplicaSetOn(j.ctx, st, cfg, j.spec.Workers)
 	if err != nil {
 		j.finish(m, nil, hdsampler.Stats{}, err)
 		return
@@ -830,6 +815,18 @@ func (m *Manager) run(j *job, conn formclient.Conn) {
 		err = serr
 	}
 	j.finish(m, set, stats, err)
+}
+
+// withBase adds the resume base (zero for a job that never resumed) to a
+// run's stats, giving the job's cumulative progress.
+func (j *job) withBase(s hdsampler.Stats) hdsampler.Stats {
+	s.Accepted += j.baseStats.Accepted
+	s.Candidates += j.baseStats.Candidates
+	s.Rejected += j.baseStats.Rejected
+	s.Queries += j.baseStats.Queries
+	s.QueriesSaved += j.baseStats.QueriesSaved
+	s.Elapsed += j.baseStats.Elapsed
+	return s
 }
 
 // baseSamples rebuilds the resume base as sampler samples.
@@ -871,25 +868,12 @@ func (m *Manager) checkpointLoop(j *job, stop <-chan struct{}, done chan<- struc
 func (m *Manager) checkpointOnce(j *job) {
 	j.mu.Lock()
 	rs, epoch := j.rs, j.epoch
-	var saved int64
-	if j.cache != nil {
-		saved = j.cache.CacheStats().Saved() - j.savedAt0
-	}
 	j.mu.Unlock()
 	if rs == nil {
 		return
 	}
-	live := rs.Progress()
-	live.QueriesSaved = saved
+	cum := j.withBase(rs.Progress())
 	samples := rs.Samples()
-
-	cum := j.baseStats
-	cum.Accepted += live.Accepted
-	cum.Candidates += live.Candidates
-	cum.Rejected += live.Rejected
-	cum.Queries += live.Queries
-	cum.QueriesSaved += live.QueriesSaved
-	cum.Elapsed += live.Elapsed
 	ck := ckptFromStats(cum)
 
 	ck.Bills = append(append([]int64(nil), j.baseBills...), make([]int64, len(samples))...)
@@ -936,9 +920,13 @@ func (m *Manager) maybeDumpHistory() {
 }
 
 // runCrawl executes a full-extraction job.
-func (m *Manager) runCrawl(j *job, conn formclient.Conn) {
+func (m *Manager) runCrawl(j *job, st hdsampler.Stack) {
 	start := time.Now()
-	c, err := core.NewCrawler(j.ctx, conn, core.CrawlerConfig{MaxQueries: j.spec.MaxQueries})
+	var saved0 int64
+	if st.Cache != nil {
+		saved0 = st.Cache.CacheStats().Saved()
+	}
+	c, err := core.NewCrawler(j.ctx, st.Conn, core.CrawlerConfig{MaxQueries: j.spec.MaxQueries})
 	if err != nil {
 		j.finish(m, nil, hdsampler.Stats{}, err)
 		return
@@ -954,7 +942,10 @@ func (m *Manager) runCrawl(j *job, conn formclient.Conn) {
 		Queries:    c.Queries(),
 		Elapsed:    time.Since(start),
 	}
-	schema, serr := conn.Schema(j.ctx)
+	if st.Cache != nil {
+		stats.QueriesSaved = st.Cache.CacheStats().Saved() - saved0
+	}
+	schema, serr := st.Conn.Schema(j.ctx)
 	var set *store.SampleSet
 	if serr == nil {
 		samples := make([]hdsampler.Sample, len(tuples))
@@ -984,30 +975,39 @@ func (j *job) sampleSet(schema *hdsampler.Schema, samples []hdsampler.Sample, c 
 	return store.New(j.spec.URL, j.spec.Method, c, schema, tuples, reaches, queries)
 }
 
-// finish records the terminal state, checkpoints the sample set and
+// finish checkpoints the sample set, records the terminal state and
 // journals the terminal transition.
 func (j *job) finish(m *Manager, set *store.SampleSet, stats hdsampler.Stats, err error) {
-	j.mu.Lock()
-	if j.cache != nil {
-		stats.QueriesSaved = j.cache.CacheStats().Saved() - j.savedAt0
-	}
-	if j.resumed {
-		// Fold in the progress an earlier epoch already paid for. The
-		// sample set (when the run produced one) is already cumulative;
-		// a run that died before producing a set keeps the base samples.
-		stats.Accepted += j.baseStats.Accepted
-		stats.Candidates += j.baseStats.Candidates
-		stats.Rejected += j.baseStats.Rejected
-		stats.Queries += j.baseStats.Queries
-		stats.QueriesSaved += j.baseStats.QueriesSaved
-		stats.Elapsed += j.baseStats.Elapsed
-		if set == nil && len(j.baseTuples) > 0 {
-			if base, berr := j.sampleSet(j.baseSchema, j.baseSamples(), j.baseC, j.baseStats.Queries); berr == nil {
-				set = base
-			}
+	// Fold in the progress an earlier epoch already paid for. The sample
+	// set (when the run produced one) is already cumulative; a run that
+	// died before producing a set keeps the base samples.
+	stats = j.withBase(stats)
+	if set == nil && len(j.baseTuples) > 0 {
+		if base, berr := j.sampleSet(j.baseSchema, j.baseSamples(), j.baseC, j.baseStats.Queries); berr == nil {
+			set = base
 		}
 	}
-	j.finished = time.Now().UTC()
+
+	// Persist before publishing the terminal state, so every terminal
+	// view already carries its checkpoint pointer. The finish time is the
+	// run's end, taken before the write.
+	finished := time.Now().UTC()
+	id := j.id
+	var path string
+	var perr error
+	if m.cfg.DataDir != "" && set != nil {
+		path = filepath.Join(m.cfg.DataDir, id+".json")
+		perr = os.MkdirAll(m.cfg.DataDir, 0o755)
+		if perr == nil {
+			perr = store.SaveFile(path, set)
+		}
+		if perr != nil {
+			m.lg.Warn("sample checkpoint failed", "job", id, "path", path, "error", perr)
+		}
+	}
+
+	j.mu.Lock()
+	j.finished = finished
 	j.finalStats = stats
 	j.set = set
 	switch {
@@ -1022,33 +1022,22 @@ func (j *job) finish(m *Manager, set *store.SampleSet, stats hdsampler.Stats, er
 		j.state = StateCompleted
 	}
 	j.err = err
+	switch {
+	case perr != nil:
+		// Keep the terminal state but surface the broken durability on
+		// the view.
+		if j.err == nil {
+			j.err = fmt.Errorf("checkpoint: %w", perr)
+		}
+	case path != "":
+		j.checkpoint = path
+	}
 	// Release the replica machinery: terminal views read finalStats and
 	// j.set, and a long-running daemon must not retain every finished
-	// job's samplers, pipelines and duplicate sample slices.
+	// job's samplers and duplicate sample slices.
 	j.rs = nil
 	j.crawler = nil
-	id := j.id
 	j.mu.Unlock()
-
-	if m.cfg.DataDir != "" && set != nil {
-		path := filepath.Join(m.cfg.DataDir, id+".json")
-		perr := os.MkdirAll(m.cfg.DataDir, 0o755)
-		if perr == nil {
-			perr = store.SaveFile(path, set)
-		}
-		j.mu.Lock()
-		if perr != nil {
-			// Keep the terminal state but surface the broken durability on
-			// the view and in the daemon log.
-			m.lg.Warn("sample checkpoint failed", "job", id, "path", path, "error", perr)
-			if j.err == nil {
-				j.err = fmt.Errorf("checkpoint: %w", perr)
-			}
-		} else {
-			j.checkpoint = path
-		}
-		j.mu.Unlock()
-	}
 
 	// Journal the terminal transition (after persisting, so the record
 	// carries the checkpoint pointer). The journal mutex is a leaf: never
@@ -1093,27 +1082,15 @@ func (j *job) view() View {
 	rs, crawler := j.rs, j.crawler
 	terminal := j.state.Terminal()
 	stats := j.finalStats
-	cache, savedAt0 := j.cache, j.savedAt0
 	started := j.started
 	j.mu.Unlock()
 
 	switch {
 	case terminal:
 	case rs != nil:
-		stats = rs.Progress()
-		if cache != nil {
-			stats.QueriesSaved = cache.CacheStats().Saved() - savedAt0
-		}
-		if j.resumed {
-			// Fold in the replayed base so a resumed job's live view never
-			// regresses below what the journal already committed.
-			stats.Accepted += j.baseStats.Accepted
-			stats.Candidates += j.baseStats.Candidates
-			stats.Rejected += j.baseStats.Rejected
-			stats.Queries += j.baseStats.Queries
-			stats.QueriesSaved += j.baseStats.QueriesSaved
-			stats.Elapsed += j.baseStats.Elapsed
-		}
+		// Fold in the replayed base so a resumed job's live view never
+		// regresses below what the journal already committed.
+		stats = j.withBase(rs.Progress())
 	case crawler != nil:
 		stats = hdsampler.Stats{Queries: crawler.Queries()}
 		if !started.IsZero() {

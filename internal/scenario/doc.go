@@ -7,7 +7,7 @@
 // faultform injects 429 bursts, 5xx blips, top-k jitter, reordering and
 // rounded counts into the interface).
 //
-// Every cell runs the full production stack — replica pipelines over a
+// Every cell runs the full production stack — sampler replicas over a
 // shared history cache over the query-execution layer (coalescing,
 // micro-batching, AIMD admission, transient retry) over the faulted
 // connector — so the matrix exercises exactly the code paths a live

@@ -10,82 +10,73 @@ import (
 	"hdsampler/internal/estimate"
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/history"
-	"hdsampler/internal/queryexec"
 )
 
 // ReplicaSet is the replica machinery behind DrawParallel, exposed as a
 // reusable object for long-running callers (the jobsvc daemon) that need
 // live progress and partial results while a draw is underway: `workers`
-// independent sampler replicas over the same connector, each with a
-// derived seed, drawing concurrently through per-replica pipelines.
+// independent sampler replicas over one connector stack, each with a
+// derived seed, drawing concurrently.
 //
-// When cfg.UseHistory is set the replicas share one history cache, so any
-// worker's answers save every other worker's queries. If the connector
-// passed in is itself a *history.Cache the set adopts it instead of
-// wrapping a new one — that is how a service shares one cache per target
+// When the stack carries a history cache the replicas share it, so any
+// worker's answers save every other worker's queries; a service that
+// passes its own stack to NewReplicaSetOn shares one cache per target
 // host across many concurrent ReplicaSets. The cache is sharded
 // internally, so replicas read it without serializing on a global lock.
 //
 // Each replica owns its generator and its acceptance/rejection processor
-// (seeded per replica), so no replica shares mutable sampler state with
-// another; the acceptors themselves are also concurrency-safe, so even a
-// deliberately shared Acceptor would stay race-free.
-//
-// The combined sample is a fair mixture of independent samplers and keeps
-// the per-replica statistical guarantees.
+// (seeded per replica) and runs the core.Draw loop on its own goroutine
+// up to its share of the target, so no replica shares mutable sampler
+// state with another and none draws past its share. The combined sample
+// is a fair mixture of independent samplers and keeps the per-replica
+// statistical guarantees.
 type ReplicaSet struct {
+	stack    Stack
 	samplers []*Sampler
-	cache    *history.Cache
-	exec     *queryexec.Executor
+	tallies  []core.Tally
+	// savedAt0 and execAt0 snapshot the stack's cache and executor
+	// counters at construction: a shared layer's totals are not this
+	// set's, so Progress reports deltas from here.
 	savedAt0 int64
+	execAt0  ExecStats
 
 	mu        sync.Mutex
 	started   bool
 	startTime time.Time
 	elapsed   time.Duration
-	pipelines []*Pipeline
 	samples   []Sample
 }
 
-// NewReplicaSet builds `workers` sampler replicas over conn. Replica i
-// samples with seed cfg.Seed + i·7919, so runs with equal configurations
-// are reproducible.
+// NewReplicaSet builds `workers` sampler replicas over conn, with the
+// connector stack cfg describes for that many replicas (see Config.Exec).
+// Replica i samples with seed cfg.Seed + i·7919, so runs with equal
+// configurations are reproducible.
 func NewReplicaSet(ctx context.Context, conn Conn, cfg Config, workers int) (*ReplicaSet, error) {
+	return NewReplicaSetOn(ctx, newStack(conn, cfg, workers), cfg, workers)
+}
+
+// NewReplicaSetOn builds `workers` sampler replicas over an assembled
+// stack, seeded like NewReplicaSet. cfg's stack knobs (UseHistory,
+// TrustCounts, Exec) are not consulted: the stack is the caller's.
+func NewReplicaSetOn(ctx context.Context, st Stack, cfg Config, workers int) (*ReplicaSet, error) {
 	if workers < 1 {
 		return nil, fmt.Errorf("hdsampler: workers = %d, need >= 1", workers)
 	}
-	rs := &ReplicaSet{}
-	effective := conn
-	if hc, ok := conn.(*history.Cache); ok && cfg.UseHistory {
-		// Adopt the caller's (possibly shared) cache. Its stack is the
-		// caller's business — the jobsvc daemon already keeps a shared
-		// per-host executor below its caches — so no layer is inserted.
-		rs.cache = hc
-		effective = hc
-	} else {
-		// The execution layer serves the replicas jointly, so it wraps
-		// the shared connector here, below the shared cache: replicas
-		// racing one top-of-tree query coalesce on a single wire request,
-		// and distinct concurrent cache misses share batch requests.
-		if !cfg.Exec.Disable {
-			rs.exec = queryexec.New(conn, cfg.Exec.options())
-			effective = rs.exec
-		}
-		if cfg.UseHistory {
-			rs.cache = history.New(effective, history.Options{TrustCounts: cfg.TrustCounts})
-			effective = rs.cache
-		}
+	rs := &ReplicaSet{
+		stack:    st,
+		samplers: make([]*Sampler, workers),
+		tallies:  make([]core.Tally, workers),
 	}
-	if rs.cache != nil {
-		rs.savedAt0 = rs.cache.CacheStats().Saved()
+	if st.Cache != nil {
+		rs.savedAt0 = st.Cache.CacheStats().Saved()
 	}
-	rs.samplers = make([]*Sampler, workers)
+	if st.Exec != nil {
+		rs.execAt0 = st.Exec.ExecStats()
+	}
 	for i := range rs.samplers {
 		wcfg := cfg
-		wcfg.Seed = cfg.Seed + int64(i)*7919  // distinct streams per worker
-		wcfg.UseHistory = false               // the shared cache sits below
-		wcfg.Exec = ExecConfig{Disable: true} // the shared executor, too
-		s, err := New(ctx, effective, wcfg)
+		wcfg.Seed = cfg.Seed + int64(i)*7919 // distinct streams per worker
+		s, err := newSampler(ctx, st, wcfg)
 		if err != nil {
 			return nil, err
 		}
@@ -97,18 +88,18 @@ func NewReplicaSet(ctx context.Context, conn Conn, cfg Config, workers int) (*Re
 // Workers returns the replica count.
 func (rs *ReplicaSet) Workers() int { return len(rs.samplers) }
 
-// Cache returns the history cache the replicas share (adopted or owned),
-// or nil when the set runs without history.
-func (rs *ReplicaSet) Cache() *history.Cache { return rs.cache }
+// Cache returns the history cache the replicas share, or nil when the
+// stack has none.
+func (rs *ReplicaSet) Cache() *history.Cache { return rs.stack.Cache }
 
-// ExecStats returns the shared execution layer's counters; ok is false
-// when the set runs without the layer (Exec.Disable, or an adopted cache
-// whose stack the caller owns).
+// ExecStats returns the stack's execution-layer counters (the layer's
+// totals, not windowed to this set); ok is false when the stack has no
+// execution layer.
 func (rs *ReplicaSet) ExecStats() (ExecStats, bool) {
-	if rs.exec == nil {
+	if rs.stack.Exec == nil {
 		return ExecStats{}, false
 	}
-	return rs.exec.ExecStats(), true
+	return rs.stack.Exec.ExecStats(), true
 }
 
 // Schema returns the target database's discovered schema.
@@ -130,49 +121,41 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 	}
 	rs.started = true
 	rs.startTime = time.Now()
+	rs.mu.Unlock()
 
 	// Split the target across replicas; replicas with a zero quota stay
-	// idle (a pipeline target of 0 would run unbounded).
+	// idle.
 	quota := make([]int, len(rs.samplers))
 	for i := 0; i < n; i++ {
 		quota[i%len(quota)]++
 	}
-	rs.mu.Unlock()
 
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
-
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
 	var firstErr error
 	for i, s := range rs.samplers {
 		if quota[i] == 0 {
 			continue
 		}
-		// Start before publishing the pipeline, so concurrent Progress
-		// calls only ever observe started pipelines.
-		p := s.NewPipeline(quota[i])
-		ch := p.Start(ctx)
-		rs.mu.Lock()
-		rs.pipelines = append(rs.pipelines, p)
-		rs.mu.Unlock()
 		wg.Add(1)
-		go func(p *Pipeline, ch <-chan Sample) {
+		go func(s *Sampler, t *core.Tally, quota int) {
 			defer wg.Done()
-			for s := range ch {
+			err := core.Draw(ctx, s.gen, s.rej, quota, t, func(c *core.Candidate) error {
 				rs.mu.Lock()
-				rs.samples = append(rs.samples, s)
+				rs.samples = append(rs.samples, Sample{Tuple: c.Tuple, Reach: c.Reach, Queries: c.Queries})
 				rs.mu.Unlock()
+				return nil
+			})
+			// A replica's own failure ends the set; the cancellation it
+			// triggers is not another failure.
+			rs.mu.Lock()
+			if err != nil && firstErr == nil && ctx.Err() == nil {
+				firstErr = err
+				cancel()
 			}
-			if err := p.Err(); err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-					cancel()
-				}
-				errMu.Unlock()
-			}
-		}(p, ch)
+			rs.mu.Unlock()
+		}(s, &rs.tallies[i], quota[i])
 	}
 	wg.Wait()
 
@@ -186,7 +169,7 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 
 	st := rs.Progress()
 	if firstErr == nil && len(tuples) < n {
-		// Pipelines stopped short without their own error: the caller's
+		// Replicas stopped short without their own error: the caller's
 		// context was cancelled.
 		firstErr = ctx.Err()
 	}
@@ -194,10 +177,11 @@ func (rs *ReplicaSet) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 }
 
 // Progress returns a live statistics snapshot; safe to call from any
-// goroutine while Draw runs, and after it returns.
+// goroutine while Draw runs, and after it returns. Cache and
+// execution-layer savings count from the set's construction, so a stack
+// shared with other sets reports only this set's window.
 func (rs *ReplicaSet) Progress() Stats {
 	rs.mu.Lock()
-	pipelines := rs.pipelines
 	accepted := int64(len(rs.samples))
 	elapsed := rs.elapsed
 	if elapsed == 0 && !rs.startTime.IsZero() {
@@ -206,20 +190,20 @@ func (rs *ReplicaSet) Progress() Stats {
 	rs.mu.Unlock()
 
 	st := Stats{Accepted: accepted, Elapsed: elapsed}
-	for _, p := range pipelines {
-		pr := p.Progress()
-		st.Candidates += pr.Candidates
-		st.Rejected += pr.Rejected
-		st.Queries += pr.Queries
+	for i := range rs.tallies {
+		t := &rs.tallies[i]
+		st.Candidates += t.Candidates.Load()
+		st.Rejected += t.Rejected.Load()
+		st.Queries += t.Queries.Load()
 	}
-	if rs.cache != nil {
-		st.QueriesSaved = rs.cache.CacheStats().Saved() - rs.savedAt0
+	if c := rs.stack.Cache; c != nil {
+		st.QueriesSaved = c.CacheStats().Saved() - rs.savedAt0
 	}
-	if rs.exec != nil {
-		xs := rs.exec.ExecStats()
-		st.QueriesCoalesced = xs.Coalesced
-		st.QueriesBatched = xs.Batched
-		st.QueriesRetried = xs.TransientRetries
+	if x := rs.stack.Exec; x != nil {
+		xs := x.ExecStats()
+		st.QueriesCoalesced = xs.Coalesced - rs.execAt0.Coalesced
+		st.QueriesBatched = xs.Batched - rs.execAt0.Batched
+		st.QueriesRetried = xs.TransientRetries - rs.execAt0.TransientRetries
 	}
 	return st
 }
@@ -242,17 +226,10 @@ func (rs *ReplicaSet) Samples() []Sample {
 // worker's answers save every other worker's queries. It is a one-shot
 // convenience over NewReplicaSet.
 func DrawParallel(ctx context.Context, conn Conn, cfg Config, n, workers int) ([]Tuple, Stats, error) {
-	if workers < 1 {
-		return nil, Stats{}, fmt.Errorf("hdsampler: workers = %d, need >= 1", workers)
-	}
-	if n < workers {
+	if n < workers && workers > 1 {
 		// More replicas than samples would leave idle workers; a single
-		// replica (still through the ReplicaSet, so an injected cache is
-		// adopted rather than double-wrapped) is equivalent. A lone
-		// sequential replica can never fill a batch window, so drop the
-		// linger — it would only add per-query latency.
+		// replica is equivalent, and its stack follows from that count.
 		workers = 1
-		cfg.Exec.BatchLinger = 0
 	}
 	rs, err := NewReplicaSet(ctx, conn, cfg, workers)
 	if err != nil {

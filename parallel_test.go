@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -121,15 +122,65 @@ func TestReplicaSetLiveProgressAndSamples(t *testing.T) {
 	}
 }
 
+// TestReplicaSetDrawsNothingPastTarget pins that replicas stop exactly at
+// their share of the target: every query that reaches the connector is
+// one the set bills (less those the execution layer coalesced), and no
+// walk is abandoned mid-flight with a cancelled context.
+func TestReplicaSetDrawsNothingPastTarget(t *testing.T) {
+	_, local := localVehicles(t, 2000, 200, hiddendb.CountNone)
+	ctx := context.Background()
+	for _, workers := range []int{1, 3} {
+		conn := &countingConn{Conn: local}
+		rs, err := NewReplicaSet(ctx, conn, Config{Seed: 5, Slider: 0.5, SliderSet: true, K: 200}, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, stats, err := rs.Draw(ctx, 30)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := conn.queries.Load(), stats.Queries-stats.QueriesCoalesced; got != want {
+			t.Errorf("workers=%d: %d queries reached the conn, the set billed %d (%d coalesced)",
+				workers, got, stats.Queries, stats.QueriesCoalesced)
+		}
+		if n := conn.canceled.Load(); n != 0 {
+			t.Errorf("workers=%d: %d queries failed with context.Canceled", workers, n)
+		}
+	}
+}
+
+// countingConn counts the queries that reach it and those that fail with
+// a cancelled context.
+type countingConn struct {
+	Conn
+	queries, canceled atomic.Int64
+}
+
+func (c *countingConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
+	c.queries.Add(1)
+	res, err := c.Conn.Execute(ctx, q)
+	if errors.Is(err, context.Canceled) {
+		c.canceled.Add(1)
+	}
+	return res, err
+}
+
+// TestReplicaSetAdoptsInjectedCache runs two sets over one caller-built
+// stack that carries a shared cache, the way the daemon shares a cache
+// per target host across jobs.
 func TestReplicaSetAdoptsInjectedCache(t *testing.T) {
 	_, conn := localVehicles(t, 2000, 200, hiddendb.CountNone)
 	ctx := context.Background()
 	shared := history.New(conn, history.Options{})
-	cfg := Config{Seed: 11, Slider: 1, UseHistory: true}
+	st := Stack{Conn: shared, Cache: shared}
+	cfg := Config{Seed: 11, Slider: 1}
 
-	rs1, err := NewReplicaSet(ctx, shared, cfg, 2)
+	rs1, err := NewReplicaSetOn(ctx, st, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if rs1.Cache() != shared {
+		t.Fatal("replica set does not report the stack's cache")
 	}
 	if _, _, err := rs1.Draw(ctx, 40); err != nil {
 		t.Fatal(err)
@@ -139,7 +190,7 @@ func TestReplicaSetAdoptsInjectedCache(t *testing.T) {
 	// A second set over the same cache draws on the first set's answers;
 	// its QueriesSaved counts only its own run.
 	cfg.Seed = 12
-	rs2, err := NewReplicaSet(ctx, shared, cfg, 2)
+	rs2, err := NewReplicaSetOn(ctx, st, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package hdsampler
 import (
 	"context"
 
+	"hdsampler/internal/core"
 	"hdsampler/internal/estimate"
 )
 
@@ -18,30 +19,9 @@ type WeightedSet = estimate.WeightedSet
 // goal is an aggregate rather than a uniform sample.
 func (s *Sampler) DrawWeighted(ctx context.Context, n int) (*WeightedSet, Stats, error) {
 	ws := &WeightedSet{}
-	startQueries := s.gen.GenStats().Queries
-	var savedAt0 int64
-	if s.cache != nil {
-		savedAt0 = s.cache.CacheStats().Saved()
-	}
-	var st Stats
-	for len(ws.Samples) < n {
-		if err := ctx.Err(); err != nil {
-			return ws, st, err
-		}
-		cand, err := s.gen.Candidate(ctx)
-		if err != nil {
-			st.Queries = s.gen.GenStats().Queries - startQueries
-			return ws, st, err
-		}
-		st.Candidates++
-		st.Accepted++
-		ws.Add(cand.Tuple, cand.Reach, cand.Restarts)
-	}
-	st.Queries = s.gen.GenStats().Queries - startQueries
-	if s.cache != nil {
-		// Per-call delta, like Draw: consecutive calls must not
-		// double-report the cache's cumulative savings.
-		st.QueriesSaved = s.cache.CacheStats().Saved() - savedAt0
-	}
-	return ws, st, nil
+	st, err := s.draw(ctx, n, nil, func(c *core.Candidate) error {
+		ws.Add(c.Tuple, c.Reach, c.Restarts)
+		return nil
+	})
+	return ws, st, err
 }
