@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -204,6 +205,75 @@ func TestSingleSamplerTransientRetryKnob(t *testing.T) {
 		t.Fatal("test conn never blipped")
 	}
 }
+
+// TestSamplerStatsCountExecRetries pins that a lone Sampler reports the
+// execution layer's retries in its Stats, as a one-replica ReplicaSet on
+// the same interface does: both Draw and DrawWeighted count them over
+// the call.
+func TestSamplerStatsCountExecRetries(t *testing.T) {
+	ds := datagen.IIDBoolean(5, 200, 0.5, 9)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	cfg := Config{Seed: 4, Exec: ExecConfig{TransientRetries: 2}}
+	newConn := func() Conn { return &firstCallBlipConn{inner: formclient.NewLocal(db)} }
+
+	s, err := New(ctx, newConn(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, st, err := s.Draw(ctx, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs, _ := s.ExecStats()
+	if st.QueriesRetried == 0 || st.QueriesRetried != xs.TransientRetries {
+		t.Fatalf("Draw QueriesRetried = %d, execution layer retried %d", st.QueriesRetried, xs.TransientRetries)
+	}
+	_, wst, err := s.DrawWeighted(ctx, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xs2, _ := s.ExecStats()
+	if wst.QueriesRetried == 0 || wst.QueriesRetried != xs2.TransientRetries-xs.TransientRetries {
+		t.Fatalf("DrawWeighted QueriesRetried = %d, execution layer retried %d during it",
+			wst.QueriesRetried, xs2.TransientRetries-xs.TransientRetries)
+	}
+
+	rs, err := NewReplicaSet(ctx, newConn(), cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rst, err := rs.Draw(ctx, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rst.QueriesRetried != st.QueriesRetried {
+		t.Fatalf("ReplicaSet QueriesRetried = %d, Sampler %d on the same interface", rst.QueriesRetried, st.QueriesRetried)
+	}
+}
+
+// firstCallBlipConn fails each distinct query's first Execute with a
+// transient fault.
+type firstCallBlipConn struct {
+	inner formclient.Conn
+	seen  sync.Map
+}
+
+func (c *firstCallBlipConn) Schema(ctx context.Context) (*hiddendb.Schema, error) {
+	return c.inner.Schema(ctx)
+}
+
+func (c *firstCallBlipConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
+	if _, loaded := c.seen.LoadOrStore(q.Key(), true); !loaded {
+		return nil, formclient.ErrTransient
+	}
+	return c.inner.Execute(ctx, q)
+}
+
+func (c *firstCallBlipConn) Stats() formclient.Stats { return c.inner.Stats() }
 
 // oneBlipConn fails exactly one Execute with a transient fault.
 type oneBlipConn struct {

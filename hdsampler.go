@@ -241,6 +241,41 @@ func newStack(conn Conn, cfg Config, replicas int) Stack {
 	return st
 }
 
+// savings snapshots the stack's cumulative cache and execution-layer
+// savings as Stats counters.
+func (st Stack) savings() Stats {
+	var s Stats
+	if st.Cache != nil {
+		s.QueriesSaved = st.Cache.CacheStats().Saved()
+	}
+	if st.Exec != nil {
+		xs := st.Exec.ExecStats()
+		s.QueriesCoalesced, s.QueriesBatched, s.QueriesRetried = xs.Coalesced, xs.Batched, xs.TransientRetries
+	}
+	return s
+}
+
+// drawStats totals a draw's replica tallies and counts the stack's
+// savings since at0, the savings snapshot taken at the draw's start: the
+// cache and executor may be shared with other draws, so their totals are
+// not this draw's.
+func (st Stack) drawStats(tallies []core.Tally, elapsed time.Duration, at0 Stats) Stats {
+	s := st.savings()
+	s.QueriesSaved -= at0.QueriesSaved
+	s.QueriesCoalesced -= at0.QueriesCoalesced
+	s.QueriesBatched -= at0.QueriesBatched
+	s.QueriesRetried -= at0.QueriesRetried
+	s.Elapsed = elapsed
+	for i := range tallies {
+		t := &tallies[i]
+		s.Candidates += t.Candidates.Load()
+		s.Accepted += t.Accepted.Load()
+		s.Rejected += t.Rejected.Load()
+		s.Queries += t.Queries.Load()
+	}
+	return s
+}
+
 // Sampler is the assembled system: connector stack, generator, and
 // rejection processor.
 type Sampler struct {
@@ -326,23 +361,19 @@ func (s *Sampler) Schema() *Schema { return s.schema }
 // 0 while an adaptive rejector is still calibrating.
 func (s *Sampler) C() float64 {
 	switch r := s.rej.(type) {
-	case nil:
-		return 1
 	case *core.Rejector:
-		if r == nil {
-			return 1
-		}
 		return r.C
 	case *core.AdaptiveRejector:
 		return r.C()
-	default:
-		return 1
 	}
+	return 1
 }
 
 // Draw synchronously collects n accepted samples. Stats are per-call
-// deltas: QueriesSaved is windowed over this call like every other
-// counter, so consecutive Draws never double-report cache savings.
+// deltas: the cache and execution-layer counts (QueriesSaved,
+// QueriesCoalesced, QueriesBatched, QueriesRetried) are windowed over this
+// call like every other counter, so consecutive Draws never double-report
+// them.
 func (s *Sampler) Draw(ctx context.Context, n int) ([]Tuple, Stats, error) {
 	out := make([]Tuple, 0, max(n, 0))
 	st, err := s.draw(ctx, n, s.rej, func(c *core.Candidate) error {
@@ -358,24 +389,10 @@ func (s *Sampler) draw(ctx context.Context, n int, rej core.Acceptor, emit func(
 	if n <= 0 {
 		return Stats{}, nil
 	}
-	start := time.Now()
-	var saved0 int64
-	if s.stack.Cache != nil {
-		saved0 = s.stack.Cache.CacheStats().Saved()
-	}
-	var t core.Tally
-	err := core.Draw(ctx, s.gen, rej, n, &t, emit)
-	st := Stats{
-		Candidates: t.Candidates.Load(),
-		Accepted:   t.Accepted.Load(),
-		Rejected:   t.Rejected.Load(),
-		Queries:    t.Queries.Load(),
-		Elapsed:    time.Since(start),
-	}
-	if s.stack.Cache != nil {
-		st.QueriesSaved = s.stack.Cache.CacheStats().Saved() - saved0
-	}
-	return st, err
+	start, at0 := time.Now(), s.stack.savings()
+	var t [1]core.Tally
+	err := core.Draw(ctx, s.gen, rej, n, &t[0], emit)
+	return s.stack.drawStats(t[:], time.Since(start), at0), err
 }
 
 // NewPipeline returns an incremental pipeline targeting n samples (0 = run

@@ -86,9 +86,10 @@ type PipelineConfig struct {
 	// Target is the number of accepted samples to collect; 0 runs until
 	// the kill switch (Stop) or context cancellation.
 	Target int
-	// Buffer is the output channel capacity; defaults to 16.
-	Buffer int
 }
+
+// pipelineBuffer is the sample stream's channel capacity.
+const pipelineBuffer = 16
 
 // Pipeline streams accepted samples from a Generator through an Acceptor
 // — the demo's incremental Sample Generator → Sample Processor → Output
@@ -114,9 +115,6 @@ type Pipeline struct {
 
 // NewPipeline builds a pipeline; rej may be nil to accept every candidate.
 func NewPipeline(gen Generator, rej Acceptor, cfg PipelineConfig) *Pipeline {
-	if cfg.Buffer <= 0 {
-		cfg.Buffer = 16
-	}
 	return &Pipeline{gen: gen, rej: rej, cfg: cfg}
 }
 
@@ -124,7 +122,7 @@ func NewPipeline(gen Generator, rej Acceptor, cfg PipelineConfig) *Pipeline {
 // called once.
 func (p *Pipeline) Start(ctx context.Context) <-chan Sample {
 	ctx, p.cancel = context.WithCancel(ctx)
-	p.samples = make(chan Sample, p.cfg.Buffer)
+	p.samples = make(chan Sample, pipelineBuffer)
 	p.start = time.Now()
 	n := p.cfg.Target
 	if n <= 0 {

@@ -49,11 +49,6 @@ type HTTPOptions struct {
 	// Politeness inserts a delay before every request after the first —
 	// basic crawler etiquette against production sites. Zero disables it.
 	Politeness time.Duration
-	// FetchAllOverflowPages follows pagination even on overflowing
-	// results. Off by default: an overflow page's rows are never used by
-	// the drill-down (it descends instead), so later pages are wasted
-	// requests; valid results are always assembled completely.
-	FetchAllOverflowPages bool
 	// Sleep is the sleep function for backoff and politeness, overridable
 	// by tests; defaults to a context-aware sleep.
 	Sleep func(ctx context.Context, d time.Duration) error
@@ -369,9 +364,9 @@ func (h *HTTP) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result,
 	// Paginated sites split the visible top-k across pages; follow the
 	// "next" links to assemble the full answer. Each page fetch is a real
 	// request (rate limited like any other), but still one logical query.
-	// Overflow answers stop at page one by default: the walk only needs
-	// the overflow flag there, not the rows.
-	if res.Overflow && !h.opts.FetchAllOverflowPages {
+	// Overflow answers stop at page one: the walk only needs the overflow
+	// flag there, not the rows, so later pages would be wasted requests.
+	if res.Overflow {
 		next = ""
 	}
 	for pages := 0; next != "" && pages < maxResultPages; pages++ {

@@ -9,44 +9,6 @@ import (
 	"hdsampler/internal/webform"
 )
 
-func TestHTTPFollowsPagination(t *testing.T) {
-	db, srv := vehiclesServer(t, 600, 120, hiddendb.CountExact,
-		webform.Options{PageSize: 50})
-	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client(), FetchAllOverflowPages: true})
-	ctx := context.Background()
-
-	// Broad query: 120 visible rows over 3 pages; with
-	// FetchAllOverflowPages the connector assembles them all in rank
-	// order as one logical query.
-	want, err := db.Execute(hiddendb.EmptyQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := conn.Execute(ctx, hiddendb.EmptyQuery())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Tuples) != len(want.Tuples) {
-		t.Fatalf("assembled %d rows, want %d", len(got.Tuples), len(want.Tuples))
-	}
-	for i := range want.Tuples {
-		if got.Tuples[i].ID != want.Tuples[i].ID {
-			t.Fatalf("row %d: id %d, want %d", i, got.Tuples[i].ID, want.Tuples[i].ID)
-		}
-	}
-	if got.Overflow != want.Overflow || got.Count != want.Count {
-		t.Fatalf("meta mismatch: %+v vs %+v", got, want)
-	}
-	st := conn.Stats()
-	if st.Queries != 1 {
-		t.Errorf("logical queries = %d, want 1", st.Queries)
-	}
-	// Form page + 3 result pages.
-	if st.HTTPRequests != 4 {
-		t.Errorf("HTTP requests = %d, want 4 (form + 3 pages)", st.HTTPRequests)
-	}
-}
-
 func TestHTTPSkipsOverflowPagesByDefault(t *testing.T) {
 	_, srv := vehiclesServer(t, 600, 120, hiddendb.CountExact,
 		webform.Options{PageSize: 50})
@@ -69,15 +31,23 @@ func TestHTTPSkipsOverflowPagesByDefault(t *testing.T) {
 	}
 }
 
+// TestHTTPPaginationMatchesDirectForNarrowQueries pins that a valid
+// (non-overflowing) answer split across pages is assembled completely,
+// in rank order, as one logical query: the form page plus one request
+// per result page.
 func TestHTTPPaginationMatchesDirectForNarrowQueries(t *testing.T) {
+	const pageSize = 7
 	db, srv := vehiclesServer(t, 600, 120, hiddendb.CountExact,
-		webform.Options{PageSize: 7})
+		webform.Options{PageSize: pageSize})
 	conn := NewHTTP(srv.URL, HTTPOptions{Client: srv.Client()})
 	ctx := context.Background()
 	q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 1})
 	want, err := db.Execute(q)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if want.Overflow || len(want.Tuples) <= pageSize {
+		t.Fatalf("query answers %d rows (overflow %v); want a valid multi-page answer", len(want.Tuples), want.Overflow)
 	}
 	got, err := conn.Execute(ctx, q)
 	if err != nil {
@@ -87,11 +57,22 @@ func TestHTTPPaginationMatchesDirectForNarrowQueries(t *testing.T) {
 		t.Fatalf("rows = %d, want %d", len(got.Tuples), len(want.Tuples))
 	}
 	for i := range want.Tuples {
+		if got.Tuples[i].ID != want.Tuples[i].ID {
+			t.Fatalf("row %d: id %d, want %d", i, got.Tuples[i].ID, want.Tuples[i].ID)
+		}
 		for a := range want.Tuples[i].Vals {
 			if got.Tuples[i].Vals[a] != want.Tuples[i].Vals[a] {
 				t.Fatal("cell mismatch across pagination")
 			}
 		}
+	}
+	if got.Overflow != want.Overflow || got.Count != want.Count {
+		t.Fatalf("meta mismatch: overflow %v count %d, want %v %d", got.Overflow, got.Count, want.Overflow, want.Count)
+	}
+	st := conn.Stats()
+	pages := (len(want.Tuples) + pageSize - 1) / pageSize
+	if st.Queries != 1 || st.HTTPRequests != int64(1+pages) {
+		t.Fatalf("queries = %d, HTTP requests = %d; want 1 query over form + %d pages", st.Queries, st.HTTPRequests, pages)
 	}
 }
 

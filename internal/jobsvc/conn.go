@@ -9,12 +9,6 @@ import (
 	"hdsampler/internal/hiddendb"
 )
 
-// The per-host politeness budget and concurrency bound live in the shared
-// queryexec layer now (see hostEntry in manager.go): every job hitting one
-// host draws through one queryexec.Executor whose AIMD limiter bounds the
-// *aggregate* request stream — unlike the old per-goroutine politeness
-// sleeps, which let N workers together exceed the configured rate N-fold.
-
 // budgetConn enforces one job's MaxQueries: it counts the queries the
 // job's samplers issue (the same number Stats.Queries reports — history
 // hits included, since the budget bounds the job's work, not just its

@@ -74,10 +74,8 @@ func NewHandler(m *Manager) http.Handler {
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
-		if err := set.Write(w); err != nil {
-			// Headers are gone; nothing more to do than drop the conn.
-			return
-		}
+		_ = set.Write(w) // on error the headers are gone; nothing more to do
+
 	})
 	mux.Handle("GET /metrics", m.Registry().Handler())
 	mux.HandleFunc("GET /debug/walks", func(w http.ResponseWriter, r *http.Request) {
@@ -99,11 +97,11 @@ func NewHandler(m *Manager) http.Handler {
 	})
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
 		h := m.Health()
+		code := http.StatusOK
 		if h.Draining {
-			writeJSON(w, http.StatusServiceUnavailable, h)
-			return
+			code = http.StatusServiceUnavailable
 		}
-		writeJSON(w, http.StatusOK, h)
+		writeJSON(w, code, h)
 	})
 	return mux
 }

@@ -1,30 +1,18 @@
 package jobsvc
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"log/slog"
 	"net/http"
-	"os"
-	"path/filepath"
+	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
-	"hdsampler"
-	"hdsampler/internal/core"
-	"hdsampler/internal/faultform"
-	"hdsampler/internal/formclient"
-	"hdsampler/internal/history"
 	"hdsampler/internal/jobq"
-	"hdsampler/internal/metrics"
-	"hdsampler/internal/queryexec"
-	"hdsampler/internal/store"
 	"hdsampler/internal/telemetry"
 )
 
@@ -157,75 +145,10 @@ type Manager struct {
 	mu     sync.Mutex
 	seq    int
 	jobs   map[string]*job
-	order  []string
+	order  []*job // submission order
 	hosts  map[string]*hostEntry
 	closed bool
 	wg     sync.WaitGroup
-}
-
-// hostEntry shares one admission limiter (rate + AIMD concurrency), one
-// execution layer per target, and one history cache across every job
-// hitting a host.
-type hostEntry struct {
-	host    string
-	limiter *queryexec.Limiter
-
-	// wire / execH / lookup are the host's registry-backed latency
-	// histograms, shared by every target stack on the host.
-	wire   *telemetry.Histogram
-	execH  *telemetry.Histogram
-	lookup *telemetry.Histogram
-
-	mu      sync.Mutex
-	targets map[string]*target
-}
-
-// target is one (connector kind, base URL) stack below the caches: the
-// raw formclient conn (optionally wrapped in the configured fault
-// profile) wrapped in the shared execution layer (coalescing, batching,
-// host-wide admission control). Caches are split by TrustCounts because
-// trusted and untrusted inference disagree.
-type target struct {
-	key    string // connector + "|" + URL, the checkpoint identity
-	exec   *queryexec.Executor
-	fault  faultform.Faulty // nil without a fault profile
-	caches map[bool]*history.Cache
-}
-
-// job is the manager's internal job record.
-type job struct {
-	id   string
-	spec Spec
-	host string
-
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	// Journal-replay base: progress a previous run (earlier lease epoch)
-	// already paid for, adopted at restore time and folded into every
-	// view, checkpoint and the terminal sample set. Written only before
-	// the run goroutine starts, so reads need no lock.
-	resumed     bool
-	baseStats   hdsampler.Stats
-	baseSchema  *hdsampler.Schema
-	baseTuples  []hdsampler.Tuple
-	baseReaches []float64
-	baseBills   []int64
-	baseC       float64
-
-	mu         sync.Mutex
-	state      State
-	created    time.Time
-	started    time.Time
-	finished   time.Time
-	epoch      int64 // current journal lease epoch (0 = never leased)
-	rs         *hdsampler.ReplicaSet
-	crawler    *core.Crawler
-	finalStats hdsampler.Stats
-	err        error
-	set        *store.SampleSet
-	checkpoint string
-	cancelled  bool
 }
 
 // NewManager builds a manager; call Shutdown before discarding it. With
@@ -322,13 +245,7 @@ func (m *Manager) Submit(spec Spec) (View, error) {
 	// Assemble the connector stack before publishing the job, so every
 	// field concurrent view() calls read is in place first.
 	st := host.connFor(spec, m.cfg)
-	j := &job{
-		id:      id,
-		spec:    spec,
-		host:    u.Host,
-		state:   StateQueued,
-		created: created,
-	}
+	j := &job{id: id, spec: spec, host: u.Host, state: StateQueued, created: created}
 	//hdlint:ignore ctxflow a job outlives the submitting request; its lifetime is bounded by cancel via Stop/Close, not by any caller context
 	j.ctx, j.cancel = context.WithCancel(context.Background())
 
@@ -346,21 +263,12 @@ func (m *Manager) Submit(spec Spec) (View, error) {
 		return View{}, ErrShuttingDown
 	}
 	m.jobs[j.id] = j
-	m.order = append(m.order, j.id)
+	m.order = append(m.order, j)
 	m.wg.Add(1)
 	m.mu.Unlock()
 
 	go m.run(j, st)
 	return j.view(), nil
-}
-
-// seqOf parses the numeric suffix of a job ID ("j-0042" → 42, ok).
-func seqOf(id string) (int, bool) {
-	var n int
-	if _, err := fmt.Sscanf(id, "j-%d", &n); err != nil {
-		return 0, false
-	}
-	return n, true
 }
 
 // restore rebuilds the job table from a journal replay: terminal jobs
@@ -378,7 +286,8 @@ func (m *Manager) restore(rep *jobq.Replay) {
 	jobs := append([]*jobq.JobRecord(nil), rep.Jobs...)
 	sort.Slice(jobs, func(a, b int) bool { return jobs[a].ID < jobs[b].ID })
 	for _, jr := range jobs {
-		if n, ok := seqOf(jr.ID); ok && n > m.seq {
+		var n int
+		if _, err := fmt.Sscanf(jr.ID, "j-%d", &n); err == nil && n > m.seq {
 			m.seq = n
 		}
 		var spec Spec
@@ -392,35 +301,28 @@ func (m *Manager) restore(rep *jobq.Replay) {
 			continue
 		}
 
-		j := &job{
-			id:      jr.ID,
-			spec:    spec,
-			host:    u.Host,
-			created: jr.Created,
-			started: jr.Started,
-			epoch:   jr.Epoch,
-		}
+		j := &job{id: jr.ID, spec: spec, host: u.Host, created: jr.Created, epoch: jr.Epoch}
 		if term := jr.Terminal; term != nil {
 			// Terminal jobs are inert table entries: no context, no conn.
 			j.state = State(term.State)
+			j.started = jr.Started
 			j.finished = term.At
 			j.checkpoint = term.Pointer
 			if term.Err != "" {
 				j.err = errors.New(term.Err)
 			}
 			if term.Stats != nil {
-				j.finalStats = statsFromCkpt(term.Stats)
+				j.final = statsFromCkpt(term.Stats)
 			}
 			j.cancel = func() {}
 			m.jobs[j.id] = j
-			m.order = append(m.order, j.id)
+			m.order = append(m.order, j)
 			continue
 		}
 
 		// Interrupted job: adopt its last progress checkpoint (samples
 		// already paid for resume for free) and requeue.
 		j.state = StateQueued
-		j.started = time.Time{}
 		if jr.Ckpt != nil && spec.Method != MethodCrawl {
 			j.adoptCheckpoint(jr.Ckpt, m.lg)
 		}
@@ -429,697 +331,18 @@ func (m *Manager) restore(rep *jobq.Replay) {
 		host := m.hostLocked(u.Host)
 		st := host.connFor(spec, m.cfg)
 		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
+		m.order = append(m.order, j)
 		m.wg.Add(1)
 		m.lg.Info("requeued interrupted job from journal",
-			"job", j.id, "epoch", jr.Epoch, "accepted_base", len(j.baseTuples))
+			"job", j.id, "epoch", jr.Epoch, "accepted_base", len(j.base.samples))
 		go m.run(j, st)
 	}
-}
-
-// adoptCheckpoint decodes a replayed progress checkpoint into the job's
-// resume base. The samples payload is authoritative: if it fails to
-// decode, the sample counts are dropped (the job redraws everything) but
-// the query bill is kept — the interface charges already happened, and
-// the accounting must stay monotone across restarts.
-func (j *job) adoptCheckpoint(ck *jobq.Checkpoint, lg *slog.Logger) {
-	j.resumed = true
-	j.baseStats = statsFromCkpt(ck)
-	j.baseBills = append([]int64(nil), ck.Bills...)
-	if len(ck.Samples) == 0 {
-		j.baseStats.Accepted = 0
-		return
-	}
-	set, err := store.Read(bytes.NewReader(ck.Samples))
-	var schema *hdsampler.Schema
-	var tuples []hdsampler.Tuple
-	var reaches []float64
-	if err == nil {
-		schema, err = set.DecodeSchema()
-	}
-	if err == nil {
-		tuples, reaches, err = set.DecodeSamples()
-	}
-	if err != nil {
-		lg.Warn("checkpoint samples unreadable; job will redraw, bill preserved",
-			"job", j.id, "error", err)
-		j.baseStats.Accepted = 0
-		j.baseBills = nil
-		return
-	}
-	j.baseSchema = schema
-	j.baseTuples = tuples
-	j.baseReaches = reaches
-	j.baseC = set.C
-	j.baseStats.Accepted = int64(len(tuples))
-}
-
-// ckptFromStats converts sampler stats into a journal checkpoint's
-// cumulative counters.
-func ckptFromStats(s hdsampler.Stats) *jobq.Checkpoint {
-	return &jobq.Checkpoint{
-		Accepted:       s.Accepted,
-		Candidates:     s.Candidates,
-		Rejected:       s.Rejected,
-		Queries:        s.Queries,
-		QueriesSaved:   s.QueriesSaved,
-		ElapsedSeconds: s.Elapsed.Seconds(),
-	}
-}
-
-// statsFromCkpt is the inverse of ckptFromStats.
-func statsFromCkpt(ck *jobq.Checkpoint) hdsampler.Stats {
-	return hdsampler.Stats{
-		Accepted:     ck.Accepted,
-		Candidates:   ck.Candidates,
-		Rejected:     ck.Rejected,
-		Queries:      ck.Queries,
-		QueriesSaved: ck.QueriesSaved,
-		Elapsed:      time.Duration(ck.ElapsedSeconds * float64(time.Second)),
-	}
-}
-
-// hostLocked returns (creating on first use) the entry for host; the
-// caller holds m.mu.
-func (m *Manager) hostLocked(host string) *hostEntry {
-	he, ok := m.hosts[host]
-	if !ok {
-		he = &hostEntry{
-			host:    host,
-			targets: make(map[string]*target),
-			wire:    m.wireHist.With(host),
-			execH:   m.execHist.With(host),
-			lookup:  m.cacheHist.With(host),
-		}
-		if m.cfg.HostRatePerSec > 0 || m.cfg.HostMaxInFlight > 0 {
-			he.limiter = queryexec.NewLimiter(queryexec.LimiterOptions{
-				MaxInFlight: m.cfg.HostMaxInFlight,
-				RatePerSec:  m.cfg.HostRatePerSec,
-				Burst:       m.cfg.HostBurst,
-			})
-		}
-		m.hosts[host] = he
-	}
-	return he
-}
-
-// connFor assembles the job's connector stack: base conn (shared per
-// target URL, below the fault profile when one is configured) → shared
-// execution layer (coalescing, micro-batching, host-wide AIMD admission)
-// → shared history cache (unless opted out) → per-job query budget. A
-// cache created here is warm-started from its HistoryDir checkpoint,
-// when one exists.
-func (he *hostEntry) connFor(spec Spec, cfg Config) hdsampler.Stack {
-	key := spec.Connector + "|" + spec.URL
-
-	he.mu.Lock()
-	tg, ok := he.targets[key]
-	if !ok {
-		var base formclient.Conn
-		opts := formclient.HTTPOptions{Client: cfg.Client}
-		if spec.Connector == ConnectorAPI {
-			base = formclient.NewAPI(spec.URL, opts)
-		} else {
-			base = formclient.NewHTTP(spec.URL, opts)
-		}
-		var fault faultform.Faulty
-		if prof, ok := faultProfile(cfg); ok {
-			// Chaos mode: the adversarial wrapper plays the misbehaving
-			// site, below the execution layer, so the AIMD limiter and the
-			// retry paths absorb the injected rudeness exactly as they
-			// would the real thing.
-			fault = faultform.Wrap(base, prof, faultSeed(cfg.FaultSeed, key))
-			base = fault
-		}
-		exec := queryexec.New(base, queryexec.Options{
-			BatchLinger: cfg.BatchLinger,
-			MaxBatch:    cfg.BatchMax,
-			Limiter:     he.limiter,
-			Wire:        he.wire,
-			ExecLatency: he.execH,
-		})
-		tg = &target{key: key, exec: exec, fault: fault, caches: make(map[bool]*history.Cache)}
-		he.targets[key] = tg
-	}
-	st := hdsampler.Stack{Conn: tg.exec, Exec: tg.exec}
-	cache, haveCache := tg.caches[spec.TrustCounts]
-	he.mu.Unlock()
-
-	if !spec.NoHistory {
-		if !haveCache {
-			// Build — and, when configured, warm-start — the cache before
-			// publishing it, so no job ever draws through a half-restored
-			// cache and no stale checkpoint entry can overwrite an answer
-			// a live job just paid for.
-			fresh := history.New(tg.exec, history.Options{
-				TrustCounts: spec.TrustCounts,
-				MaxEntries:  cfg.CacheMaxEntries,
-				Lookup:      he.lookup,
-			})
-			if cfg.HistoryDir != "" {
-				warmStartCache(cfg.HistoryDir, historySource(key, spec.TrustCounts), fresh, cfg.logger())
-			}
-			he.mu.Lock()
-			if racer, ok := tg.caches[spec.TrustCounts]; ok {
-				cache = racer // a concurrent submit won; ours is discarded
-			} else {
-				tg.caches[spec.TrustCounts] = fresh
-				cache = fresh
-			}
-			he.mu.Unlock()
-		}
-		st.Conn, st.Cache = cache, cache
-	}
-
-	if spec.MaxQueries > 0 && spec.Method != MethodCrawl {
-		st.Conn = &budgetConn{inner: st.Conn, budget: spec.MaxQueries}
-	}
-	return st
-}
-
-// faultProfile resolves the configured fault preset; ok is false when
-// injection is off (empty, "none", or an unknown name — logged once per
-// submit path would be noisy, so unknown names log here and disable).
-func faultProfile(cfg Config) (faultform.Profile, bool) {
-	if cfg.FaultProfile == "" || cfg.FaultProfile == "none" {
-		return faultform.Profile{}, false
-	}
-	p, ok := faultform.Preset(cfg.FaultProfile)
-	if !ok {
-		cfg.logger().Warn("unknown fault profile; fault injection disabled",
-			"component", "jobsvc", "profile", cfg.FaultProfile, "known", fmt.Sprint(faultform.PresetNames()))
-		return faultform.Profile{}, false
-	}
-	return p, true
-}
-
-// faultSeed derives a target's fault stream from the daemon seed and the
-// target identity, so two targets never replay one misbehaviour script.
-func faultSeed(seed int64, key string) int64 {
-	h := fnv.New64a()
-	h.Write([]byte(key))
-	return seed ^ int64(h.Sum64())
-}
-
-// historySource names one cache identity for checkpointing: the target
-// key plus the trust mode (trusted and untrusted caches infer
-// differently and must not adopt each other's checkpoints).
-func historySource(targetKey string, trust bool) string {
-	return targetKey + "|trust=" + strconv.FormatBool(trust)
-}
-
-// historyDumpPath maps a cache identity onto its checkpoint file.
-func historyDumpPath(dir, source string) string {
-	h := fnv.New64a()
-	h.Write([]byte(source))
-	return filepath.Join(dir, fmt.Sprintf("history-%016x.json", h.Sum64()))
-}
-
-// warmStartCache best-effort restores a freshly created cache from its
-// checkpoint; failures only cost the warm start, never the job.
-func warmStartCache(dir, source string, cache *history.Cache, lg *slog.Logger) {
-	lg = lg.With("component", "jobsvc", "source", source)
-	path := historyDumpPath(dir, source)
-	dump, err := store.LoadHistoryFile(path)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			lg.Warn("history warm-start failed", "path", path, "error", err)
-		}
-		return
-	}
-	if dump.Source != source {
-		lg.Warn("history warm-start skipped: checkpoint identity mismatch",
-			"path", path, "checkpoint_source", dump.Source)
-		return
-	}
-	//hdlint:ignore ctxflow warm-start runs during construction, before any request context exists; the timeout is its only bound
-	ctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
-	defer cancel()
-	n, err := cache.Restore(ctx, dump.Snapshot())
-	if err != nil {
-		lg.Warn("history warm-start failed", "path", path, "error", err)
-		return
-	}
-	lg.Info("warm-started history cache", "entries", n)
-}
-
-// dumpHistory checkpoints every shared cache to HistoryDir.
-func (m *Manager) dumpHistory() {
-	if m.cfg.HistoryDir == "" {
-		return
-	}
-	if err := os.MkdirAll(m.cfg.HistoryDir, 0o755); err != nil {
-		m.lg.Warn("history checkpoint dir", "dir", m.cfg.HistoryDir, "error", err)
-		return
-	}
-	m.mu.Lock()
-	hes := make([]*hostEntry, 0, len(m.hosts))
-	for _, he := range m.hosts {
-		hes = append(hes, he)
-	}
-	m.mu.Unlock()
-	for _, he := range hes {
-		he.mu.Lock()
-		type dumpTask struct {
-			source string
-			cache  *history.Cache
-		}
-		var tasks []dumpTask
-		for _, tg := range he.targets {
-			for trust, c := range tg.caches {
-				tasks = append(tasks, dumpTask{historySource(tg.key, trust), c})
-			}
-		}
-		he.mu.Unlock()
-		for _, t := range tasks {
-			if t.cache.Len() == 0 {
-				continue
-			}
-			dump := store.NewHistoryDump(t.source, t.cache.Dump())
-			path := historyDumpPath(m.cfg.HistoryDir, t.source)
-			if err := store.SaveHistoryFile(path, dump); err != nil {
-				m.lg.Warn("history checkpoint failed", "path", path, "error", err)
-			}
-		}
-	}
-}
-
-// run executes one job to completion; it owns the job's state machine.
-func (m *Manager) run(j *job, st hdsampler.Stack) {
-	defer m.wg.Done()
-
-	// Acquire a run slot; cancellation while queued finishes the job
-	// without ever running it.
-	select {
-	case m.sem <- struct{}{}:
-		defer func() { <-m.sem }()
-	case <-j.ctx.Done():
-		j.finish(m, nil, hdsampler.Stats{}, j.ctx.Err())
-		return
-	}
-
-	j.mu.Lock()
-	j.state = StateRunning
-	j.started = time.Now().UTC()
-	j.mu.Unlock()
-
-	// Take the run's lease epoch: every checkpoint and the terminal
-	// record carry it, so a zombie writer from a superseded run is fenced
-	// at the journal.
-	var epoch int64
-	if m.journal != nil {
-		ep, err := m.journal.Lease(j.id)
-		if err != nil {
-			m.lg.Warn("journal lease failed; job runs unfenced", "job", j.id, "error", err)
-		} else {
-			epoch = ep
-			j.mu.Lock()
-			j.epoch = ep
-			j.mu.Unlock()
-		}
-	}
-
-	if j.spec.Method == MethodCrawl {
-		m.runCrawl(j, st)
-		return
-	}
-
-	// A resumed job draws only what its adopted checkpoint is missing.
-	remaining := j.spec.N - len(j.baseTuples)
-	if remaining <= 0 {
-		set, serr := j.sampleSet(j.baseSchema, j.baseSamples(), j.baseC, j.baseStats.Queries)
-		j.finish(m, set, hdsampler.Stats{}, serr)
-		return
-	}
-
-	cfg := hdsampler.Config{
-		Seed:         j.spec.Seed,
-		C:            j.spec.C,
-		K:            j.spec.K,
-		ShuffleOrder: !j.spec.NoShuffle,
-		// One observer per job: the duration histogram series carries the
-		// job label, while the tracer, slow-walk counter and logger are the
-		// daemon-wide instruments. Replicas share it (its instruments are
-		// concurrency-safe).
-		Obs: &telemetry.WalkObserver{
-			Tracer:      m.tracer,
-			Duration:    m.walkHist.With(j.id),
-			SlowWalk:    m.cfg.SlowWalk,
-			SlowQueries: m.cfg.SlowWalkQueries,
-			SlowCount:   m.slowWalks,
-			Logger:      m.lg,
-			Job:         j.id,
-			Host:        j.host,
-		},
-	}
-	if j.spec.Slider != nil {
-		cfg.Slider = *j.spec.Slider
-		cfg.SliderSet = true
-	}
-	if j.spec.Method == MethodWeighted {
-		cfg.Method = hdsampler.MethodCountWeighted
-		cfg.UseParentCount = j.spec.TrustCounts
-	}
-	if epoch > 1 {
-		// Resumed run: perturb the seed per epoch so the redraw explores
-		// fresh walk randomness instead of replaying the crashed run's
-		// prefix (which would re-pay its query bill walk for walk). The
-		// first run (epoch 1) keeps the spec seed exactly.
-		cfg.Seed = j.spec.Seed + (epoch-1)*1_000_003
-	}
-	rs, err := hdsampler.NewReplicaSetOn(j.ctx, st, cfg, j.spec.Workers)
-	if err != nil {
-		j.finish(m, nil, hdsampler.Stats{}, err)
-		return
-	}
-	j.mu.Lock()
-	j.rs = rs
-	j.mu.Unlock()
-
-	// Journal progress periodically while the pool draws. The loop stops
-	// (and is awaited) before finish, so no checkpoint can race the
-	// terminal record.
-	stop := make(chan struct{})
-	ckptDone := make(chan struct{})
-	if m.journal != nil && m.cfg.CheckpointEvery > 0 {
-		go m.checkpointLoop(j, stop, ckptDone)
-	} else {
-		close(ckptDone)
-	}
-
-	_, stats, err := rs.Draw(j.ctx, remaining)
-	close(stop)
-	<-ckptDone
-	set, serr := j.sampleSet(rs.Schema(), j.cumulativeSamples(rs.Samples()), rs.C(), j.baseStats.Queries+stats.Queries)
-	if err == nil {
-		err = serr
-	}
-	j.finish(m, set, stats, err)
-}
-
-// withBase adds the resume base (zero for a job that never resumed) to a
-// run's stats, giving the job's cumulative progress.
-func (j *job) withBase(s hdsampler.Stats) hdsampler.Stats {
-	s.Accepted += j.baseStats.Accepted
-	s.Candidates += j.baseStats.Candidates
-	s.Rejected += j.baseStats.Rejected
-	s.Queries += j.baseStats.Queries
-	s.QueriesSaved += j.baseStats.QueriesSaved
-	s.Elapsed += j.baseStats.Elapsed
-	return s
-}
-
-// baseSamples rebuilds the resume base as sampler samples.
-func (j *job) baseSamples() []hdsampler.Sample {
-	out := make([]hdsampler.Sample, len(j.baseTuples))
-	for i, t := range j.baseTuples {
-		out[i] = hdsampler.Sample{Tuple: t, Reach: j.baseReaches[i]}
-	}
-	return out
-}
-
-// cumulativeSamples prepends the resume base to a live sample snapshot.
-func (j *job) cumulativeSamples(live []hdsampler.Sample) []hdsampler.Sample {
-	if len(j.baseTuples) == 0 {
-		return live
-	}
-	return append(j.baseSamples(), live...)
-}
-
-// checkpointLoop journals the job's cumulative progress every
-// CheckpointEvery until stopped; done closes when the loop exits.
-func (m *Manager) checkpointLoop(j *job, stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	t := time.NewTicker(m.cfg.CheckpointEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-t.C:
-			m.checkpointOnce(j)
-		}
-	}
-}
-
-// checkpointOnce journals one cumulative progress checkpoint: resume
-// base plus live pool progress, the per-candidate query bills, and the
-// accepted samples as a serialized store.SampleSet.
-func (m *Manager) checkpointOnce(j *job) {
-	j.mu.Lock()
-	rs, epoch := j.rs, j.epoch
-	j.mu.Unlock()
-	if rs == nil {
-		return
-	}
-	cum := j.withBase(rs.Progress())
-	samples := rs.Samples()
-	ck := ckptFromStats(cum)
-
-	ck.Bills = append(append([]int64(nil), j.baseBills...), make([]int64, len(samples))...)
-	for i, s := range samples {
-		ck.Bills[len(j.baseBills)+i] = int64(s.Queries)
-	}
-
-	set, err := j.sampleSet(rs.Schema(), j.cumulativeSamples(samples), rs.C(), cum.Queries)
-	if err != nil {
-		m.lg.Warn("progress checkpoint skipped: sample set", "job", j.id, "error", err)
-		return
-	}
-	if set != nil {
-		var buf bytes.Buffer
-		if err := set.Write(&buf); err != nil {
-			m.lg.Warn("progress checkpoint skipped: encode", "job", j.id, "error", err)
-			return
-		}
-		ck.Samples = buf.Bytes()
-	}
-	if err := m.journal.Checkpoint(j.id, epoch, ck); err != nil {
-		m.lg.Warn("progress checkpoint rejected", "job", j.id, "error", err)
-		return
-	}
-	// Piggyback a throttled history dump so the shared caches also
-	// survive kill-9, not just graceful shutdown.
-	m.maybeDumpHistory()
-}
-
-// maybeDumpHistory runs dumpHistory at most once per throttle window.
-func (m *Manager) maybeDumpHistory() {
-	if m.cfg.HistoryDir == "" {
-		return
-	}
-	const every = 5 * time.Second
-	m.histMu.Lock()
-	if time.Since(m.lastHistDump) < every {
-		m.histMu.Unlock()
-		return
-	}
-	m.lastHistDump = time.Now()
-	m.histMu.Unlock()
-	m.dumpHistory()
-}
-
-// runCrawl executes a full-extraction job.
-func (m *Manager) runCrawl(j *job, st hdsampler.Stack) {
-	start := time.Now()
-	var saved0 int64
-	if st.Cache != nil {
-		saved0 = st.Cache.CacheStats().Saved()
-	}
-	c, err := core.NewCrawler(j.ctx, st.Conn, core.CrawlerConfig{MaxQueries: j.spec.MaxQueries})
-	if err != nil {
-		j.finish(m, nil, hdsampler.Stats{}, err)
-		return
-	}
-	j.mu.Lock()
-	j.crawler = c
-	j.mu.Unlock()
-
-	tuples, err := c.Run(j.ctx)
-	stats := hdsampler.Stats{
-		Accepted:   int64(len(tuples)),
-		Candidates: int64(len(tuples)),
-		Queries:    c.Queries(),
-		Elapsed:    time.Since(start),
-	}
-	if st.Cache != nil {
-		stats.QueriesSaved = st.Cache.CacheStats().Saved() - saved0
-	}
-	schema, serr := st.Conn.Schema(j.ctx)
-	var set *store.SampleSet
-	if serr == nil {
-		samples := make([]hdsampler.Sample, len(tuples))
-		for i, t := range tuples {
-			samples[i] = hdsampler.Sample{Tuple: t}
-		}
-		set, serr = j.sampleSet(schema, samples, 1, stats.Queries)
-	}
-	if err == nil {
-		err = serr
-	}
-	j.finish(m, set, stats, err)
-}
-
-// sampleSet packages accepted samples as a persistable store.SampleSet;
-// nil (with no error) when there are no samples to keep.
-func (j *job) sampleSet(schema *hdsampler.Schema, samples []hdsampler.Sample, c float64, queries int64) (*store.SampleSet, error) {
-	if len(samples) == 0 {
-		return nil, nil
-	}
-	tuples := make([]hdsampler.Tuple, len(samples))
-	reaches := make([]float64, len(samples))
-	for i, s := range samples {
-		tuples[i] = s.Tuple
-		reaches[i] = s.Reach
-	}
-	return store.New(j.spec.URL, j.spec.Method, c, schema, tuples, reaches, queries)
-}
-
-// finish checkpoints the sample set, records the terminal state and
-// journals the terminal transition.
-func (j *job) finish(m *Manager, set *store.SampleSet, stats hdsampler.Stats, err error) {
-	// Fold in the progress an earlier epoch already paid for. The sample
-	// set (when the run produced one) is already cumulative; a run that
-	// died before producing a set keeps the base samples.
-	stats = j.withBase(stats)
-	if set == nil && len(j.baseTuples) > 0 {
-		if base, berr := j.sampleSet(j.baseSchema, j.baseSamples(), j.baseC, j.baseStats.Queries); berr == nil {
-			set = base
-		}
-	}
-
-	// Persist before publishing the terminal state, so every terminal
-	// view already carries its checkpoint pointer. The finish time is the
-	// run's end, taken before the write.
-	finished := time.Now().UTC()
-	id := j.id
-	var path string
-	var perr error
-	if m.cfg.DataDir != "" && set != nil {
-		path = filepath.Join(m.cfg.DataDir, id+".json")
-		perr = os.MkdirAll(m.cfg.DataDir, 0o755)
-		if perr == nil {
-			perr = store.SaveFile(path, set)
-		}
-		if perr != nil {
-			m.lg.Warn("sample checkpoint failed", "job", id, "path", path, "error", perr)
-		}
-	}
-
-	j.mu.Lock()
-	j.finished = finished
-	j.finalStats = stats
-	j.set = set
-	switch {
-	case j.cancelled || errors.Is(err, context.Canceled):
-		j.state = StateCanceled
-		if err == nil || errors.Is(err, context.Canceled) {
-			err = nil
-		}
-	case err != nil:
-		j.state = StateFailed
-	default:
-		j.state = StateCompleted
-	}
-	j.err = err
-	switch {
-	case perr != nil:
-		// Keep the terminal state but surface the broken durability on
-		// the view.
-		if j.err == nil {
-			j.err = fmt.Errorf("checkpoint: %w", perr)
-		}
-	case path != "":
-		j.checkpoint = path
-	}
-	// Release the replica machinery: terminal views read finalStats and
-	// j.set, and a long-running daemon must not retain every finished
-	// job's samplers and duplicate sample slices.
-	j.rs = nil
-	j.crawler = nil
-	j.mu.Unlock()
-
-	// Journal the terminal transition (after persisting, so the record
-	// carries the checkpoint pointer). The journal mutex is a leaf: never
-	// called with j.mu or m.mu held.
-	if m.journal != nil {
-		j.mu.Lock()
-		state, ptr, epoch, fs := j.state, j.checkpoint, j.epoch, j.finalStats
-		var errMsg string
-		if j.err != nil {
-			errMsg = j.err.Error()
-		}
-		j.mu.Unlock()
-		if jerr := m.journal.Terminal(id, epoch, string(state), ptr, errMsg, ckptFromStats(fs)); jerr != nil {
-			m.lg.Warn("journal terminal append failed", "job", id, "error", jerr)
-		}
-	}
-	m.maybeDumpHistory()
-}
-
-// view snapshots the job, folding in live pool progress while running.
-func (j *job) view() View {
-	j.mu.Lock()
-	v := View{
-		ID:      j.id,
-		State:   j.state,
-		Spec:    j.spec,
-		Created: j.created,
-	}
-	if !j.started.IsZero() {
-		t := j.started
-		v.Started = &t
-	}
-	if !j.finished.IsZero() {
-		t := j.finished
-		v.Finished = &t
-	}
-	if j.err != nil {
-		v.Error = j.err.Error()
-	}
-	v.Checkpoint = j.checkpoint
-	v.Epoch = j.epoch
-	rs, crawler := j.rs, j.crawler
-	terminal := j.state.Terminal()
-	stats := j.finalStats
-	started := j.started
-	j.mu.Unlock()
-
-	switch {
-	case terminal:
-	case rs != nil:
-		// Fold in the replayed base so a resumed job's live view never
-		// regresses below what the journal already committed.
-		stats = j.withBase(rs.Progress())
-	case crawler != nil:
-		stats = hdsampler.Stats{Queries: crawler.Queries()}
-		if !started.IsZero() {
-			stats.Elapsed = time.Since(started)
-		}
-	case j.resumed:
-		// Requeued after a crash, not yet running: show the replayed base
-		// so the committed progress never disappears from the API.
-		stats = j.baseStats
-	}
-	v.Accepted = stats.Accepted
-	v.Candidates = stats.Candidates
-	v.Rejected = stats.Rejected
-	v.Queries = stats.Queries
-	v.QueriesSaved = stats.QueriesSaved
-	if stats.Candidates > 0 {
-		v.AcceptanceRate = float64(stats.Accepted) / float64(stats.Candidates)
-	}
-	v.ElapsedSeconds = stats.Elapsed.Seconds()
-	return v
 }
 
 // Jobs lists every job in submission order.
 func (m *Manager) Jobs() []View {
 	m.mu.Lock()
-	js := make([]*job, 0, len(m.order))
-	for _, id := range m.order {
-		js = append(js, m.jobs[id])
-	}
+	js := slices.Clone(m.order)
 	m.mu.Unlock()
 	out := make([]View, len(js))
 	for i, j := range js {
@@ -1130,184 +353,41 @@ func (m *Manager) Jobs() []View {
 
 // Job returns one job's snapshot.
 func (m *Manager) Job(id string) (View, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.lookup(id)
 	if !ok {
 		return View{}, ErrNotFound
 	}
 	return j.view(), nil
 }
 
+// lookup finds a job by ID.
+func (m *Manager) lookup(id string) (*job, bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	j, ok := m.jobs[id]
+	return j, ok
+}
+
 // Cancel stops a queued or running job; cancelling a terminal job is a
 // no-op. The job transitions to canceled once its workers drain.
 func (m *Manager) Cancel(id string) (View, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
+	j, ok := m.lookup(id)
 	if !ok {
 		return View{}, ErrNotFound
 	}
+	j.stop()
+	return j.view(), nil
+}
+
+// stop marks a live job cancelled, so its finish records canceled rather
+// than failed, then cancels its context.
+func (j *job) stop() {
 	j.mu.Lock()
 	if !j.state.Terminal() {
 		j.cancelled = true
 	}
 	j.mu.Unlock()
 	j.cancel()
-	return j.view(), nil
-}
-
-// SampleSet returns a job's samples as a persistable set: the final set
-// for terminal jobs, a live snapshot for running ones.
-func (m *Manager) SampleSet(id string) (*store.SampleSet, error) {
-	m.mu.Lock()
-	j, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, ErrNotFound
-	}
-	j.mu.Lock()
-	set, rs := j.set, j.rs
-	terminal := j.state.Terminal()
-	ptr := j.checkpoint
-	j.mu.Unlock()
-	if terminal {
-		if set == nil && ptr != "" {
-			// A journal-restored terminal job keeps only the checkpoint
-			// pointer; load (and cache) the set on first request.
-			loaded, err := store.LoadFile(ptr)
-			if err != nil {
-				return nil, fmt.Errorf("jobsvc: load checkpoint %s: %w", ptr, err)
-			}
-			j.mu.Lock()
-			if j.set == nil {
-				j.set = loaded
-			}
-			set = j.set
-			j.mu.Unlock()
-			return set, nil
-		}
-		if set == nil {
-			return nil, ErrNoSamples
-		}
-		return set, nil
-	}
-	if rs == nil {
-		return nil, ErrNoSamples
-	}
-	live, err := j.sampleSet(rs.Schema(), rs.Samples(), rs.C(), rs.Progress().Queries)
-	if err != nil {
-		return nil, err
-	}
-	if live == nil {
-		return nil, ErrNoSamples
-	}
-	return live, nil
-}
-
-// HostStats aggregates one host's shared-infrastructure counters.
-type HostStats struct {
-	Host string `json:"host"`
-	// Issued / ExactHits / Inferred / Evictions sum the host's history
-	// caches.
-	Issued    int64 `json:"issued"`
-	ExactHits int64 `json:"exact_hits"`
-	Inferred  int64 `json:"inferred"`
-	Evictions int64 `json:"evictions"`
-	// Entries is the total cached query count (Protected the pinned
-	// subset), Throttled the wire requests the admission limiter had to
-	// delay for the politeness budget.
-	Entries   int   `json:"entries"`
-	Protected int   `json:"protected"`
-	Throttled int64 `json:"throttled"`
-	// Coalesced / Batched / BatchRequests / WireCalls sum the host's
-	// execution-layer savings: queries answered by joining identical
-	// in-flight queries, queries shipped inside shared batch requests,
-	// the batch wire requests themselves, and total wire executions.
-	// TransientRetries counts wire executions the layer repeated after
-	// transient interface faults.
-	Coalesced        int64 `json:"coalesced"`
-	Batched          int64 `json:"batched"`
-	BatchRequests    int64 `json:"batch_requests"`
-	WireCalls        int64 `json:"wire_calls"`
-	TransientRetries int64 `json:"transient_retries"`
-	// Faults sums the misbehaviour the configured fault profile injected
-	// into this host's targets (all zero without a profile).
-	Faults faultform.Stats `json:"faults"`
-	// InFlight and Limit snapshot the host's admission controller: wire
-	// requests currently running and the AIMD concurrency window (0 when
-	// concurrency limiting is off). Backoffs counts 429-pushback window
-	// cuts.
-	InFlight int     `json:"in_flight"`
-	Limit    float64 `json:"limit"`
-	Backoffs int64   `json:"backoffs"`
-	// ShardBalance summarizes per-shard entry counts across the host's
-	// caches: CV 0 means the shards carry identical load.
-	ShardBalance metrics.Summary `json:"shard_balance"`
-}
-
-// Saved is the host's total query-history savings.
-func (h HostStats) Saved() int64 { return h.ExactHits + h.Inferred }
-
-// Hosts reports per-host cache and politeness stats, sorted by host.
-func (m *Manager) Hosts() []HostStats {
-	m.mu.Lock()
-	hes := make([]*hostEntry, 0, len(m.hosts))
-	for _, he := range m.hosts {
-		hes = append(hes, he)
-	}
-	m.mu.Unlock()
-	out := make([]HostStats, 0, len(hes))
-	for _, he := range hes {
-		hs := HostStats{Host: he.host}
-		if he.limiter != nil {
-			hs.Throttled = he.limiter.Waits()
-			hs.Backoffs = he.limiter.Backoffs()
-			hs.InFlight = he.limiter.InFlight()
-			hs.Limit = he.limiter.Limit()
-		}
-		var shardLoads []float64
-		he.mu.Lock()
-		caches := make([]*history.Cache, 0, len(he.targets))
-		for _, tg := range he.targets {
-			xs := tg.exec.ExecStats()
-			hs.Coalesced += xs.Coalesced
-			hs.Batched += xs.Batched
-			hs.BatchRequests += xs.BatchRequests
-			hs.WireCalls += xs.WireCalls
-			hs.TransientRetries += xs.TransientRetries
-			if tg.fault != nil {
-				fs := tg.fault.FaultStats()
-				hs.Faults.RateLimited += fs.RateLimited
-				hs.Faults.Exhausted429s += fs.Exhausted429s
-				hs.Faults.Transients += fs.Transients
-				hs.Faults.Jittered += fs.Jittered
-				hs.Faults.Reordered += fs.Reordered
-				hs.Faults.RoundedCounts += fs.RoundedCounts
-				hs.Faults.SlowCalls += fs.SlowCalls
-			}
-			for _, c := range tg.caches {
-				caches = append(caches, c)
-			}
-		}
-		he.mu.Unlock()
-		for _, c := range caches {
-			cs := c.CacheStats()
-			hs.Issued += cs.Issued
-			hs.ExactHits += cs.ExactHits
-			hs.Inferred += cs.Inferred
-			hs.Evictions += cs.Evictions
-			for _, ss := range c.ShardStats() {
-				hs.Entries += ss.Entries
-				hs.Protected += ss.Protected
-				shardLoads = append(shardLoads, float64(ss.Entries))
-			}
-		}
-		hs.ShardBalance = metrics.Summarize(shardLoads)
-		out = append(out, hs)
-	}
-	sort.Slice(out, func(i, k int) bool { return out[i].Host < out[k].Host })
-	return out
 }
 
 // Health summarizes the manager's durability state for /healthz.
@@ -1366,18 +446,10 @@ func (m *Manager) JournalStats() jobq.Stats {
 func (m *Manager) Shutdown(ctx context.Context) error {
 	m.mu.Lock()
 	m.closed = true
-	js := make([]*job, 0, len(m.jobs))
-	for _, j := range m.jobs {
-		js = append(js, j)
-	}
+	js := slices.Clone(m.order)
 	m.mu.Unlock()
 	for _, j := range js {
-		j.mu.Lock()
-		if !j.state.Terminal() {
-			j.cancelled = true
-		}
-		j.mu.Unlock()
-		j.cancel()
+		j.stop()
 	}
 	done := make(chan struct{})
 	go func() {

@@ -153,16 +153,16 @@ func (m *Manager) registerMetrics() {
 	})
 }
 
-// faultKinds flattens fault-injection stats into (kind, count) pairs in
-// the exposition's historical order.
-func faultKinds(f faultform.Stats) []struct {
+// faultKind is one fault-injection kind and its count.
+type faultKind struct {
 	kind string
 	n    int64
-} {
-	return []struct {
-		kind string
-		n    int64
-	}{
+}
+
+// faultKinds flattens fault-injection stats into (kind, count) pairs in
+// the exposition's historical order.
+func faultKinds(f faultform.Stats) []faultKind {
+	return []faultKind{
 		{"rate_limited", f.RateLimited},
 		{"exhausted_429s", f.Exhausted429s},
 		{"transient", f.Transients},

@@ -14,6 +14,7 @@ import (
 	"hdsampler/internal/hiddendb"
 	"hdsampler/internal/jobq"
 	"hdsampler/internal/store"
+	"hdsampler/internal/webform"
 )
 
 // craftCrashedJournal writes the journal state a SIGKILLed daemon leaves
@@ -192,6 +193,117 @@ func TestRestartReplaysJournal(t *testing.T) {
 	}
 	if st.Degraded {
 		t.Fatal("journal degraded during a clean restart test")
+	}
+}
+
+// TestResumedJobServesBaseSamples pins that a requeued job's samples
+// endpoint serves the progress its journal already committed: both while
+// the job waits for a run slot and while its run is stuck on a target
+// that answers no /search request, SampleSet returns the adopted base
+// samples with the base query bill, as many as the job's view counts.
+func TestResumedJobServesBaseSamples(t *testing.T) {
+	ds := datagen.Vehicles(400, 21)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := webform.NewServer(db, webform.Options{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/search" {
+			<-r.Context().Done() // hold every query until the client gives up
+			return
+		}
+		site.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	spec := Spec{URL: srv.URL, N: 10, Seed: 5}
+	base, err := store.New(spec.URL, MethodUniform, 1, ds.Schema, ds.Tuples[:4], nil, 123)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var payload bytes.Buffer
+	if err := base.Write(&payload); err != nil {
+		t.Fatal(err)
+	}
+	specJSON, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	journalDir := t.TempDir()
+	jr, _, err := jobq.Open(journalDir, jobq.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := []string{"j-0001", "j-0002"}
+	for _, id := range ids {
+		if err := jr.Admit(id, specJSON, time.Now().UTC()); err != nil {
+			t.Fatal(err)
+		}
+		ep, err := jr.Lease(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ck := &jobq.Checkpoint{Accepted: 4, Candidates: 4, Queries: 123,
+			Bills: []int64{30, 30, 30, 33}, Samples: payload.Bytes()}
+		if err := jr.Checkpoint(id, ep, ck); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := jr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// One run slot: one job runs against the held target, the other
+	// stays queued behind it.
+	m := newTestManager(t, srv, Config{JournalDir: journalDir, MaxConcurrent: 1})
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		running := 0
+		for _, id := range ids {
+			m.mu.Lock()
+			j := m.jobs[id]
+			m.mu.Unlock()
+			j.mu.Lock()
+			if j.rs != nil {
+				running++
+			}
+			j.mu.Unlock()
+		}
+		if running == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no resumed job started drawing: %+v", m.Jobs())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	states := map[State]bool{}
+	for _, id := range ids {
+		set, err := m.SampleSet(id)
+		if err != nil {
+			t.Fatalf("%s: SampleSet: %v", id, err)
+		}
+		v, err := m.Job(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		states[v.State] = true
+		tuples, _, err := set.DecodeSamples()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tuples) < 4 || int64(len(tuples)) != v.Accepted {
+			t.Fatalf("%s (%s): sample set has %d samples, view accepted %d; want the 4 base samples counted alike",
+				id, v.State, len(tuples), v.Accepted)
+		}
+		if set.Queries < 123 || v.Queries < 123 {
+			t.Fatalf("%s (%s): set bill %d, view bill %d; want >= the base bill 123", id, v.State, set.Queries, v.Queries)
+		}
+	}
+	if !states[StateQueued] || !states[StateRunning] {
+		t.Fatalf("states = %v, want one queued and one running job", states)
 	}
 }
 

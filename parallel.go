@@ -34,11 +34,9 @@ type ReplicaSet struct {
 	stack    Stack
 	samplers []*Sampler
 	tallies  []core.Tally
-	// savedAt0 and execAt0 snapshot the stack's cache and executor
-	// counters at construction: a shared layer's totals are not this
-	// set's, so Progress reports deltas from here.
-	savedAt0 int64
-	execAt0  ExecStats
+	// at0 snapshots the stack's savings at construction, the start of
+	// the window Progress counts them over.
+	at0 Stats
 
 	mu        sync.Mutex
 	started   bool
@@ -66,12 +64,7 @@ func NewReplicaSetOn(ctx context.Context, st Stack, cfg Config, workers int) (*R
 		stack:    st,
 		samplers: make([]*Sampler, workers),
 		tallies:  make([]core.Tally, workers),
-	}
-	if st.Cache != nil {
-		rs.savedAt0 = st.Cache.CacheStats().Saved()
-	}
-	if st.Exec != nil {
-		rs.execAt0 = st.Exec.ExecStats()
+		at0:      st.savings(),
 	}
 	for i := range rs.samplers {
 		wcfg := cfg
@@ -189,22 +182,8 @@ func (rs *ReplicaSet) Progress() Stats {
 	}
 	rs.mu.Unlock()
 
-	st := Stats{Accepted: accepted, Elapsed: elapsed}
-	for i := range rs.tallies {
-		t := &rs.tallies[i]
-		st.Candidates += t.Candidates.Load()
-		st.Rejected += t.Rejected.Load()
-		st.Queries += t.Queries.Load()
-	}
-	if c := rs.stack.Cache; c != nil {
-		st.QueriesSaved = c.CacheStats().Saved() - rs.savedAt0
-	}
-	if x := rs.stack.Exec; x != nil {
-		xs := x.ExecStats()
-		st.QueriesCoalesced = xs.Coalesced - rs.execAt0.Coalesced
-		st.QueriesBatched = xs.Batched - rs.execAt0.Batched
-		st.QueriesRetried = xs.TransientRetries - rs.execAt0.TransientRetries
-	}
+	st := rs.stack.drawStats(rs.tallies, elapsed, rs.at0)
+	st.Accepted = accepted // the samples Samples returns, one source
 	return st
 }
 
