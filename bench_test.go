@@ -348,30 +348,27 @@ func BenchmarkExecCoalesce(b *testing.B) {
 	}
 }
 
-// BenchmarkExecBatch measures the micro-batching path: parallel workers
-// issuing distinct queries that the linger window packs into shared batch
-// requests. wire/query < 1 is the amortization of the per-request
-// rate-limit charge.
+// BenchmarkExecBatch measures the batching path: parallel count-weighted
+// walkers over exact counts whose sibling sets the execution layer packs
+// into batch requests. wire/query < 1 is the amortization of the
+// per-request rate-limit charge.
 func BenchmarkExecBatch(b *testing.B) {
-	db := benchVehiclesDB(b, 20000, 1000, hiddendb.CountNone)
-	x := queryexec.New(formclient.NewLocal(db), queryexec.Options{
-		BatchLinger: 200 * time.Microsecond,
-		MaxBatch:    16,
-	})
+	db := benchVehiclesDB(b, 20000, 1000, hiddendb.CountExact)
+	x := queryexec.New(formclient.NewLocal(db), queryexec.Options{MaxBatch: 16})
 	ctx := context.Background()
 	var worker atomic.Int64
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
-		w := int(worker.Add(1))
-		i := 0
+		cw, err := core.NewCountWalker(ctx, x, core.CountWalkerConfig{
+			Seed: worker.Add(1), Order: core.OrderShuffle, UseParentCount: true,
+		})
+		if err != nil {
+			b.Error(err) // b.Fatal must not be called off the benchmark goroutine
+			return
+		}
 		for pb.Next() {
-			q := hiddendb.MustQuery(
-				hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: (w + i) % 8},
-				hiddendb.Predicate{Attr: datagen.VehAttrYear, Value: i % 5},
-				hiddendb.Predicate{Attr: datagen.VehAttrCondition, Value: w % 2})
-			i++
-			if _, err := x.Execute(ctx, q); err != nil {
-				b.Error(err) // b.Fatal must not be called off the benchmark goroutine
+			if _, err := cw.Candidate(ctx); err != nil {
+				b.Error(err)
 				return
 			}
 		}

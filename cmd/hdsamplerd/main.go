@@ -48,8 +48,7 @@ func main() {
 		hostRate     = flag.Float64("host-rate", 0, "per-host politeness budget in wire requests/sec (0 = unlimited)")
 		hostBurst    = flag.Int("host-burst", 10, "politeness token bucket capacity")
 		hostInFlight = flag.Int("host-inflight", 0, "per-host AIMD concurrency ceiling for wire requests (0 = unlimited)")
-		batchLinger  = flag.Duration("batch-linger", 0, "micro-batch linger window for API targets, e.g. 3ms (0 = no batching)")
-		batchMax     = flag.Int("batch-max", 16, "max queries per batch wire request")
+		batchMax     = flag.Int("batch-max", 16, "max queries per batch wire request on API targets (a count-weighted level's siblings, a crawl node's children)")
 		cacheCap     = flag.Int("cache-entries", 0, "max entries per shared host history cache (0 = unlimited)")
 		histDir      = flag.String("history-dir", "", "checkpoint directory for shared history caches: dumped on shutdown, warm-started on first use (empty = off)")
 		journalDir   = flag.String("journal-dir", "", "crash-safe job journal directory: admissions fsynced before ack, progress checkpointed, interrupted jobs requeued on restart (empty = no durability)")
@@ -86,7 +85,6 @@ func main() {
 		HostRatePerSec:      *hostRate,
 		HostBurst:           *hostBurst,
 		HostMaxInFlight:     *hostInFlight,
-		BatchLinger:         *batchLinger,
 		BatchMax:            *batchMax,
 		CacheMaxEntries:     *cacheCap,
 		HistoryDir:          *histDir,

@@ -30,8 +30,8 @@
 //   - internal/queryexec — the query-execution layer concurrent sampler
 //     paths route through: single-flight coalescing of identical in-flight
 //     queries (complementing the history cache's completed-query
-//     memoization), micro-batching of concurrent distinct queries into
-//     one batch wire request, and an AIMD adaptive concurrency limiter
+//     memoization), batch wire requests for query sets (a count walk's
+//     sibling probes), and an AIMD adaptive concurrency limiter
 //     with an aggregate per-host rate budget (Config.Exec tunes it)
 //   - internal/core — the samplers, rejection, and the one draw loop
 //     behind every driver (Collect, Pipeline, Sampler, ReplicaSet)

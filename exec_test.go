@@ -17,10 +17,10 @@ import (
 
 // countingTarget serves a vehicles DB behind the web form, counting every
 // wire request the samplers actually land on the site.
-func countingTarget(t *testing.T, n, k int, opts webform.Options) (*hiddendb.DB, *httptest.Server, *atomic.Int64) {
+func countingTarget(t *testing.T, n, k int, counts hiddendb.CountMode, opts webform.Options) (*hiddendb.DB, *httptest.Server, *atomic.Int64) {
 	t.Helper()
 	ds := datagen.Vehicles(n, 31)
-	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: k})
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: k, CountMode: counts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,18 +35,20 @@ func countingTarget(t *testing.T, n, k int, opts webform.Options) (*hiddendb.DB,
 }
 
 // TestDrawParallelExecSavesWireRequests is the tentpole acceptance check:
-// an 8-replica draw routed through the execution layer issues measurably
-// fewer wire requests than the replicas' combined logical query bill —
-// the coalescing + micro-batching win on top of (and independent of) the
-// history cache, which is disabled here to isolate the layer.
+// an 8-replica count-weighted draw routed through the execution layer
+// issues measurably fewer wire requests than the replicas' combined
+// logical query bill — each level's sibling probes go out as batch
+// requests, on top of (and independent of) the history cache, which is
+// disabled here to isolate the layer.
 func TestDrawParallelExecSavesWireRequests(t *testing.T) {
-	_, srv, hits := countingTarget(t, 2000, 250, webform.Options{})
+	_, srv, hits := countingTarget(t, 2000, 250, hiddendb.CountExact, webform.Options{})
 	conn := formclient.NewAPI(srv.URL, formclient.HTTPOptions{Client: srv.Client()})
 	cfg := Config{
-		Seed:         3,
-		ShuffleOrder: true,
+		Method:         MethodCountWeighted,
+		UseParentCount: true,
+		Seed:           3,
+		ShuffleOrder:   true,
 		Exec: ExecConfig{
-			BatchLinger: 2 * time.Millisecond,
 			MaxBatch:    16,
 			MaxInFlight: 8,
 		},
@@ -64,8 +66,8 @@ func TestDrawParallelExecSavesWireRequests(t *testing.T) {
 		t.Fatal("no queries recorded")
 	}
 	// The baseline bill is one wire request per logical query. With
-	// coalescing and batching the stream must compress; 10% slack keeps
-	// the assertion robust against scheduling that yields little overlap.
+	// batched sibling sets the stream must compress; the 10% margin is
+	// the bound this check has always held the layer to.
 	if wire > logical*9/10 {
 		t.Fatalf("wire requests = %d for %d logical queries; execution layer saved nothing", wire, logical)
 	}
@@ -80,7 +82,7 @@ func TestDrawParallelExecSavesWireRequests(t *testing.T) {
 // N× the configured rate.
 func TestDrawParallelAggregateRateBounded(t *testing.T) {
 	const rate, burst = 300.0, 5
-	_, srv, hits := countingTarget(t, 1000, 150, webform.Options{})
+	_, srv, hits := countingTarget(t, 1000, 150, hiddendb.CountNone, webform.Options{})
 	conn := formclient.NewAPI(srv.URL, formclient.HTTPOptions{Client: srv.Client()})
 	cfg := Config{
 		Seed:         4,
@@ -107,16 +109,17 @@ func TestDrawParallelAggregateRateBounded(t *testing.T) {
 }
 
 // TestReplicaSetExecStats covers the layer's wiring and stat plumbing
-// over a local connector (batch-capable, so both mechanisms engage).
+// over a local connector (batch-capable, so count-weighted sibling sets
+// batch).
 func TestReplicaSetExecStats(t *testing.T) {
 	ds := datagen.Vehicles(1500, 9)
-	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 200})
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 200, CountMode: hiddendb.CountExact})
 	if err != nil {
 		t.Fatal(err)
 	}
 	rs, err := NewReplicaSet(context.Background(), LocalConn(db), Config{
+		Method: MethodCountWeighted, UseParentCount: true,
 		Seed: 11, ShuffleOrder: true,
-		Exec: ExecConfig{BatchLinger: time.Millisecond},
 	}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -133,6 +136,9 @@ func TestReplicaSetExecStats(t *testing.T) {
 	}
 	if xs.WireCalls > xs.Queries {
 		t.Fatalf("wire calls %d exceed logical queries %d", xs.WireCalls, xs.Queries)
+	}
+	if xs.Batched == 0 || xs.BatchRequests == 0 {
+		t.Fatalf("no sibling set went out batched: %+v", xs)
 	}
 }
 

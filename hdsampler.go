@@ -74,19 +74,17 @@ func (m Method) String() string {
 }
 
 // ExecConfig tunes the query-execution layer (internal/queryexec):
-// single-flight coalescing of identical in-flight queries, micro-batching
-// of concurrent distinct queries, and AIMD-adaptive concurrency limiting
-// shared by every replica on the connector. Config.Exec states when the
-// layer is part of the stack.
+// single-flight coalescing of identical in-flight queries, batch requests
+// for query sets, and AIMD-adaptive concurrency limiting shared by every
+// replica on the connector. Config.Exec states when the layer is part of
+// the stack.
 type ExecConfig struct {
-	// BatchLinger, when positive, holds wire-bound queries up to this
-	// long so concurrent distinct queries can share one batch request
-	// (POST /api/search/batch, one rate-limit charge for the whole
-	// batch). Effective only on batch-capable connectors (DialAPI,
-	// LocalConn) and only with more than one replica; HTML scraping
-	// falls back to sequential execution.
-	BatchLinger time.Duration
-	// MaxBatch bounds queries per batch request (default 16).
+	// MaxBatch bounds the queries of a set — a count-weighted level's
+	// siblings, a crawl node's children — packed into one batch request
+	// (POST /api/search/batch, one rate-limit charge for the whole batch;
+	// default 16) when the layer is in the stack. Effective only on
+	// batch-capable connectors (DialAPI, LocalConn); HTML scraping asks a
+	// set one query at a time.
 	MaxBatch int
 	// MaxInFlight caps concurrent wire requests across all replicas: the
 	// AIMD ceiling, additively raised on clean responses and
@@ -159,11 +157,11 @@ type Config struct {
 	AdaptiveWarmup int
 	// Exec tunes the query-execution layer. One rule, derived from the
 	// number of replicas drawing, places it: with more than one replica
-	// (ReplicaSet, DrawParallel) the layer is always in the stack and
-	// BatchLinger applies; a lone replica (New, or DrawParallel with
-	// fewer samples than workers) has nothing to coalesce or batch, so
-	// it gets the layer only for an admission knob (MaxInFlight,
-	// RatePerSec, TransientRetries) and never lingers.
+	// (ReplicaSet, DrawParallel) the layer is always in the stack; a lone
+	// replica (New, or DrawParallel with fewer samples than workers) has
+	// nothing to coalesce, so it gets the layer only for an admission
+	// knob (MaxInFlight, RatePerSec, TransientRetries). Either way a
+	// batch-capable connector answers query sets in batch requests.
 	Exec ExecConfig
 	// Obs observes candidate draws: walk-duration histogram, sampled walk
 	// tracing, and the slow-walk log. The observer's instruments are
@@ -215,14 +213,11 @@ type Stack struct {
 // batching and rate-bounding.
 func newStack(conn Conn, cfg Config, replicas int) Stack {
 	st := Stack{Conn: conn}
-	concurrent, limited := replicas > 1, cfg.Exec.limited()
-	if concurrent || limited {
+	limited := cfg.Exec.limited()
+	if replicas > 1 || limited {
 		opts := queryexec.Options{
 			MaxBatch:         cfg.Exec.MaxBatch,
 			TransientRetries: cfg.Exec.TransientRetries,
-		}
-		if concurrent {
-			opts.BatchLinger = cfg.Exec.BatchLinger
 		}
 		if limited {
 			opts.Limiter = queryexec.NewLimiter(queryexec.LimiterOptions{

@@ -50,10 +50,10 @@ type CountWalker struct {
 
 	// Scratch reused across walks and levels (a Generator runs on one
 	// goroutine): the shuffled attribute order, plus per-level weight and
-	// result buffers sized to the widest domain on first use.
+	// sibling-probe buffers sized to the widest domain on first use.
 	orderBuf []int
 	weights  []float64
-	results  []*hiddendb.Result
+	probes   []hiddendb.Query
 }
 
 // NewCountWalker builds the sampler, fetching the schema eagerly.
@@ -128,6 +128,34 @@ func (c *CountWalker) exec(ctx context.Context, tr *telemetry.WalkTrace, walk, d
 	return res, nil
 }
 
+// execAll asks a level's sibling probes at once — qs[v] probes value v of
+// attr — tracking stats and, on traced walks, one level span per sibling.
+func (c *CountWalker) execAll(ctx context.Context, tr *telemetry.WalkTrace, walk, depth, attr int, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
+	var start time.Time
+	if tr != nil {
+		tr.BeginSet(walk, depth, attr, len(qs))
+		start = time.Now()
+	}
+	results, err := formclient.ExecuteAll(ctx, c.conn, qs)
+	if tr != nil {
+		d := time.Since(start)
+		for v := range qs {
+			var res *hiddendb.Result
+			if err == nil {
+				res = results[v]
+			}
+			tr.Focus(v)
+			tr.EndLevel(levelOutcome(res, err), d)
+		}
+		tr.EndSet()
+	}
+	if err != nil {
+		return nil, err
+	}
+	c.stats.queries.Add(int64(len(qs)))
+	return results, nil
+}
+
 func (c *CountWalker) walkOnce(ctx context.Context, tr *telemetry.WalkTrace, walk int) (*Candidate, int, error) {
 	c.stats.walks.Add(1)
 	startQueries := c.stats.queries.Load()
@@ -165,54 +193,46 @@ func (c *CountWalker) walkOnce(ctx context.Context, tr *telemetry.WalkTrace, wal
 		dom := c.schema.DomainSize(attr)
 		if cap(c.weights) < dom {
 			c.weights = make([]float64, dom)
-			c.results = make([]*hiddendb.Result, dom)
+			c.probes = make([]hiddendb.Query, 0, dom)
 		}
 		weights := c.weights[:dom]
-		results := c.results[:dom]
-		for v := range dom {
-			weights[v] = 0
-			results[v] = nil
+		// With the parent's count known, the last child's weight is derived
+		// instead of probed; the other siblings are asked as one set.
+		probes := c.probes[:0]
+		probed := dom
+		if c.cfg.UseParentCount && parentCount >= 0 {
+			probed = dom - 1
 		}
-		sum := 0.0
-		for v := 0; v < dom; v++ {
-			if c.cfg.UseParentCount && parentCount >= 0 && v == dom-1 {
-				w := float64(parentCount) - sum
-				if w < 0 {
-					w = 0
-				}
-				weights[v] = w
-				continue
-			}
-			res, err := c.exec(ctx, tr, walk, depth, attr, v, q.With(attr, v))
-			if err != nil {
-				return nil, c.walkCost(startQueries), err
-			}
+		for v := 0; v < probed; v++ {
+			probes = append(probes, q.With(attr, v))
+		}
+		results, err := c.execAll(ctx, tr, walk, depth, attr, probes)
+		if err != nil {
+			return nil, c.walkCost(startQueries), err
+		}
+		total := 0.0
+		for v, res := range results {
 			if res.Count == hiddendb.CountAbsent {
 				return nil, c.walkCost(startQueries), ErrNoCounts
 			}
-			w := float64(res.Count)
-			if w < 0 {
-				w = 0
-			}
-			weights[v] = w
-			results[v] = res
-			sum += w
+			weights[v] = max(float64(res.Count), 0)
+			total += weights[v]
 		}
-		total := 0.0
-		for _, w := range weights {
-			total += w
+		if probed < dom {
+			weights[dom-1] = max(float64(parentCount)-total, 0)
+			total += weights[dom-1]
 		}
 		if total <= 0 {
 			return nil, c.walkCost(startQueries), nil // inconsistent counts: restart
 		}
 		v := drawWeighted(c.rng, weights, total)
 		proposal *= weights[v] / total
-		q = q.With(attr, v)
-		res := results[v]
-		if res == nil { // the inferred child: fetch it now that it is chosen
-			var err error
-			res, err = c.exec(ctx, tr, walk, depth, attr, v, q)
-			if err != nil {
+		var res *hiddendb.Result
+		if v < probed {
+			q, res = probes[v], results[v]
+		} else { // the inferred child: fetch it now that it is chosen
+			q = q.With(attr, v)
+			if res, err = c.exec(ctx, tr, walk, depth, attr, v, q); err != nil {
 				return nil, c.walkCost(startQueries), err
 			}
 		}

@@ -54,61 +54,65 @@ func (c *Crawler) Queries() int64 { return c.stats.queries.Load() }
 // Run extracts every tuple reachable through the interface, deduplicated
 // by tuple identity. Tuples hidden beyond the top-k of every query that
 // could return them cannot be extracted by any client; they are the same
-// rows the samplers cannot reach.
+// rows the samplers cannot reach. A node's children are asked as one set
+// (formclient.ExecuteAll), cut to what is left of MaxQueries.
 func (c *Crawler) Run(ctx context.Context) ([]hiddendb.Tuple, error) {
 	seen := make(map[int]hiddendb.Tuple)
-	anon := 0 // rows without stable IDs are kept as distinct
-	var anonRows []hiddendb.Tuple
-	var crawl func(q hiddendb.Query, depth int) error
-	crawl = func(q hiddendb.Query, depth int) error {
+	var anonRows []hiddendb.Tuple // rows without stable IDs are kept as distinct
+	budgetErr := fmt.Errorf("%w (budget %d)", ErrCrawlBudget, c.cfg.MaxQueries)
+	// crawl asks the sibling set qs, whose queries specify depth
+	// attributes, then collects each complete (or fully specified) answer
+	// and crawls each other non-empty one's children in turn.
+	var crawl func(qs []hiddendb.Query, depth int) error
+	crawl = func(qs []hiddendb.Query, depth int) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if c.cfg.MaxQueries > 0 && c.stats.queries.Load() >= c.cfg.MaxQueries {
-			return fmt.Errorf("%w (budget %d)", ErrCrawlBudget, c.cfg.MaxQueries)
+		trimmed := false
+		if c.cfg.MaxQueries > 0 {
+			if left := c.cfg.MaxQueries - c.stats.queries.Load(); int64(len(qs)) > left {
+				qs, trimmed = qs[:max(left, 0)], true
+			}
 		}
-		res, err := c.conn.Execute(ctx, q)
+		answers, err := formclient.ExecuteAll(ctx, c.conn, qs)
 		if err != nil {
 			return err
 		}
-		c.stats.queries.Add(1)
-		collect := func() {
-			for i := range res.Tuples {
-				t := res.Tuples[i]
-				if t.ID >= 0 {
-					if _, ok := seen[t.ID]; !ok {
+		c.stats.queries.Add(int64(len(qs)))
+		for i, res := range answers {
+			if res.Empty() {
+				continue
+			}
+			// A fully specified query that still overflows shows its
+			// visible top-k; the rest is unreachable.
+			if res.Valid() || depth == len(c.attrs) {
+				for _, t := range res.Tuples {
+					if t.ID < 0 {
+						anonRows = append(anonRows, t.Clone())
+					} else if _, ok := seen[t.ID]; !ok {
 						seen[t.ID] = t.Clone()
 					}
-				} else {
-					anonRows = append(anonRows, t.Clone())
-					anon++
 				}
+				continue
 			}
-		}
-		switch {
-		case res.Empty():
-			return nil
-		case res.Valid():
-			collect()
-			return nil
-		case depth == len(c.attrs):
-			// Fully specified and still overflowing: collect the visible
-			// top-k; the rest is unreachable.
-			collect()
-			return nil
-		}
-		attr := c.attrs[depth]
-		for v := 0; v < c.schema.DomainSize(attr); v++ {
-			if err := crawl(q.With(attr, v), depth+1); err != nil {
+			attr := c.attrs[depth]
+			kids := make([]hiddendb.Query, c.schema.DomainSize(attr))
+			for v := range kids {
+				kids[v] = qs[i].With(attr, v)
+			}
+			if err := crawl(kids, depth+1); err != nil {
 				return err
 			}
 		}
+		if trimmed {
+			return budgetErr
+		}
 		return nil
 	}
-	if err := crawl(hiddendb.EmptyQuery(), 0); err != nil {
+	if err := crawl([]hiddendb.Query{hiddendb.EmptyQuery()}, 0); err != nil {
 		return nil, err
 	}
-	out := make([]hiddendb.Tuple, 0, len(seen)+anon)
+	out := make([]hiddendb.Tuple, 0, len(seen)+len(anonRows))
 	for _, t := range seen {
 		out = append(out, t)
 	}

@@ -3,12 +3,15 @@ package core
 import (
 	"context"
 	"errors"
+	"slices"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"hdsampler/internal/datagen"
 	"hdsampler/internal/formclient"
 	"hdsampler/internal/hiddendb"
+	"hdsampler/internal/queryexec"
 )
 
 func TestCrawlerExtractsEverything(t *testing.T) {
@@ -128,5 +131,88 @@ func TestCrawlerScoped(t *testing.T) {
 			t.Fatalf("duplicate tuple %d in crawl output", tu.ID)
 		}
 		seen[tu.ID] = true
+	}
+}
+
+// countingLocal counts every query that reaches the database, whether
+// asked alone or inside a batch.
+type countingLocal struct {
+	*formclient.Local
+	seen atomic.Int64
+}
+
+func (c *countingLocal) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
+	c.seen.Add(1)
+	return c.Local.Execute(ctx, q)
+}
+
+func (c *countingLocal) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
+	c.seen.Add(int64(len(qs)))
+	return c.Local.ExecuteBatch(ctx, qs)
+}
+
+func crawlIDs(t *testing.T, conn formclient.Conn, cfg CrawlerConfig) ([]int, int64, error) {
+	t.Helper()
+	ctx := context.Background()
+	c, err := NewCrawler(ctx, conn, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples, err := c.Run(ctx)
+	ids := make([]int, len(tuples))
+	for i := range tuples {
+		ids[i] = tuples[i].ID
+	}
+	sort.Ints(ids)
+	return ids, c.Queries(), err
+}
+
+// TestCrawlerSiblingSetsMatchSequential: asking a node's children as one
+// set through the execution layer extracts the same tuples with the same
+// query count as asking them one by one, in fewer wire calls.
+func TestCrawlerSiblingSetsMatchSequential(t *testing.T) {
+	ds := datagen.Vehicles(1500, 5)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := CrawlerConfig{Attrs: []int{datagen.VehAttrMake, datagen.VehAttrCondition, datagen.VehAttrYear}}
+	seqIDs, seqQueries, err := crawlIDs(t, struct{ formclient.Conn }{formclient.NewLocal(db)}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := queryexec.New(formclient.NewLocal(db), queryexec.Options{})
+	setIDs, setQueries, err := crawlIDs(t, x, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(seqIDs, setIDs) {
+		t.Fatalf("set crawl extracted %d tuples, sequential %d (or different ones)", len(setIDs), len(seqIDs))
+	}
+	if setQueries != seqQueries {
+		t.Fatalf("set crawl asked %d queries, sequential %d", setQueries, seqQueries)
+	}
+	if st := x.ExecStats(); st.Queries != seqQueries || st.WireCalls >= seqQueries {
+		t.Fatalf("exec stats %+v: want %d queries in fewer wire calls", st, seqQueries)
+	}
+}
+
+// TestCrawlerBudgetTrimsSets: a children set is cut to what is left of
+// MaxQueries, so the crawl spends its budget exactly, no query past it
+// reaches the target, and the crawl still ends in ErrCrawlBudget.
+func TestCrawlerBudgetTrimsSets(t *testing.T) {
+	ds := datagen.Vehicles(1500, 5)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 50})
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := &countingLocal{Local: formclient.NewLocal(db)}
+	const budget = 50
+	_, queries, err := crawlIDs(t, queryexec.New(target, queryexec.Options{}), CrawlerConfig{MaxQueries: budget})
+	if !errors.Is(err, ErrCrawlBudget) {
+		t.Fatalf("want ErrCrawlBudget, got %v", err)
+	}
+	if queries != budget || target.seen.Load() != budget {
+		t.Fatalf("crawler counted %d queries and the target saw %d, want both = budget %d", queries, target.seen.Load(), budget)
 	}
 }

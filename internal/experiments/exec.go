@@ -15,20 +15,21 @@ import (
 	"hdsampler/internal/webform"
 )
 
-// ExecLayer measures the query-execution layer's wire economics: the same
-// 8-replica draw run direct, with single-flight coalescing, and with
-// coalescing plus micro-batching against the web form's batch endpoint.
-// The interface round trip is HDSampler's bottleneck (every drill-down
-// level is one HTTP query against a rate-limited site), so the headline
-// number is wire requests per logical query — the fraction of the
-// politeness budget each configuration burns for the same sample.
+// ExecLayer measures the query-execution layer's wire economics: an
+// 8-replica raw-walk draw run direct and with single-flight coalescing,
+// and an 8-replica count-weighted draw whose sibling sets go out as
+// batch requests against the web form's batch endpoint. The interface
+// round trip is HDSampler's bottleneck (every drill-down level is one
+// HTTP query against a rate-limited site), so the headline number is
+// wire requests per logical query — the fraction of the politeness
+// budget each configuration burns.
 func ExecLayer(ctx context.Context, sc Scale) (*Table, error) {
 	n := sc.pick(3000, 20000)
 	perWorker := sc.pick(12, 60)
 	const workers = 8
 
 	ds := datagen.Vehicles(n, 151)
-	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 500})
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: 500, CountMode: hiddendb.CountExact})
 	if err != nil {
 		return nil, err
 	}
@@ -37,25 +38,25 @@ func ExecLayer(ctx context.Context, sc Scale) (*Table, error) {
 
 	t := &Table{
 		ID:      "exec",
-		Title:   "query-execution layer: coalescing + micro-batching wire savings (8 replicas)",
+		Title:   "query-execution layer: coalescing + sibling-set batching wire savings (8 replicas)",
 		Header:  []string{"configuration", "samples", "logical queries", "wire requests", "wire/query", "coalesced", "batched", "wall(ms)"},
 		Metrics: map[string]float64{},
 	}
 	for _, cfg := range []struct {
 		name     string
 		layer    bool
-		linger   time.Duration
+		weighted bool // count-weighted walks: sibling sets batch
 		inflight int
 	}{
-		{"direct (baseline)", false, 0, 0},
-		{"+ coalesce", true, 0, 0},
-		{"+ coalesce + batch 3ms", true, 3 * time.Millisecond, 8},
+		{"direct (baseline)", false, false, 0},
+		{"+ coalesce", true, false, 0},
+		{"count-weighted + batched sibling sets", true, true, 8},
 	} {
 		api := formclient.NewAPI(srv.URL, formclient.HTTPOptions{Client: srv.Client()})
 		var conn formclient.Conn = api
 		var exec *queryexec.Executor
 		if cfg.layer {
-			opts := queryexec.Options{BatchLinger: cfg.linger, MaxBatch: 16}
+			opts := queryexec.Options{MaxBatch: 16}
 			if cfg.inflight > 0 {
 				opts.Limiter = queryexec.NewLimiter(queryexec.LimiterOptions{MaxInFlight: cfg.inflight})
 			}
@@ -77,9 +78,16 @@ func ExecLayer(ctx context.Context, sc Scale) (*Table, error) {
 			wg.Add(1)
 			go func(w int) {
 				defer wg.Done()
-				gen, err := core.NewWalker(ctx, conn, core.WalkerConfig{
-					Seed: 152 + int64(w)*7919, Order: core.OrderShuffle,
-				})
+				seed := 152 + int64(w)*7919
+				var gen core.Generator
+				var err error
+				if cfg.weighted {
+					gen, err = core.NewCountWalker(ctx, conn, core.CountWalkerConfig{
+						Seed: seed, Order: core.OrderShuffle, UseParentCount: true,
+					})
+				} else {
+					gen, err = core.NewWalker(ctx, conn, core.WalkerConfig{Seed: seed, Order: core.OrderShuffle})
+				}
 				if err == nil {
 					var tuples []hiddendb.Tuple
 					tuples, _, err = core.Collect(ctx, gen, nil, perWorker)
@@ -122,7 +130,7 @@ func ExecLayer(ctx context.Context, sc Scale) (*Table, error) {
 		t.Metrics["wire/query:"+cfg.name] = perQuery
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("vehicles n=%d behind the web form API, k=500, %d replicas × %d raw-walk samples, no history cache (isolating the layer)", n, workers, perWorker),
-		"coalescing collapses identical in-flight queries; batching packs concurrent distinct queries into POST /api/search/batch, one rate-limit charge per batch wire request")
+		fmt.Sprintf("vehicles n=%d behind the web form API, k=500, exact counts, %d replicas × %d samples, no history cache (isolating the layer)", n, workers, perWorker),
+		"coalescing collapses identical in-flight queries; a count-weighted level's sibling probes go out as one set, packed into POST /api/search/batch requests, one rate-limit charge per batch wire request")
 	return t, nil
 }

@@ -153,16 +153,9 @@ type Faulty interface {
 	FaultProfile() Profile
 }
 
-// batchExecer mirrors queryexec.BatchExecer structurally (importing it
-// here would be a needless dependency).
-type batchExecer interface {
-	ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error)
-}
-
 // Wrap decorates inner with the profile's faults, deterministically from
 // seed. When inner supports batch execution the wrapper does too, so the
-// execution layer's micro-batching (and its fault fallback) stays
-// exercised.
+// execution layer's batching (and its fault fallback) stays exercised.
 func Wrap(inner formclient.Conn, p Profile, seed int64) Faulty {
 	if p.RateLimitBurst <= 0 {
 		p.RateLimitBurst = 2
@@ -180,7 +173,7 @@ func Wrap(inner formclient.Conn, p Profile, seed int64) Faulty {
 		sleep:   sleepCtx,
 		att:     make(map[uint64]*attemptState),
 	}
-	if be, ok := inner.(batchExecer); ok {
+	if be, ok := inner.(formclient.Batcher); ok {
 		return &BatchConn{Conn: c, batch: be}
 	}
 	return c
@@ -407,7 +400,7 @@ func (c *Conn) u01(hash, salt uint64) float64 {
 // inner connector supports it.
 type BatchConn struct {
 	*Conn
-	batch batchExecer
+	batch formclient.Batcher
 }
 
 // ExecuteBatch implements the batch capability: one wire interaction for

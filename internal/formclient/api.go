@@ -155,11 +155,27 @@ type wireBatchResult struct {
 	Results []wireResult `json:"results"`
 }
 
-// ExecuteBatch answers several queries with one POST /api/search/batch
-// wire request — the queryexec micro-batching capability. The server
-// charges the whole batch a single rate-limit token, so b packed queries
-// cost 1/b of the politeness budget each.
+// maxBatch bounds the queries of one batch request: the web form's
+// default limit. The execution layer packs batches no larger than its own
+// MaxBatch, which defaults to the same 16.
+const maxBatch = 16
+
+// ExecuteBatch implements Batcher with POST /api/search/batch wire
+// requests of at most maxBatch queries each. The server charges a whole
+// batch a single rate-limit token, so b packed queries cost 1/b of the
+// politeness budget each.
 func (a *API) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
+	if len(qs) > maxBatch {
+		out := make([]*hiddendb.Result, 0, len(qs))
+		for start := 0; start < len(qs); start += maxBatch {
+			res, err := a.ExecuteBatch(ctx, qs[start:min(start+maxBatch, len(qs))])
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, res...)
+		}
+		return out, nil
+	}
 	schema, err := a.Schema(ctx)
 	if err != nil {
 		return nil, err
@@ -178,8 +194,8 @@ func (a *API) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddend
 		req.Queries[i] = m
 	}
 	// Encode into one buffer sized from the actual predicates, and ship
-	// its bytes without an intermediate string copy: batch bodies are
-	// built on every linger-window flush.
+	// its bytes without an intermediate string copy: a count walk builds
+	// a batch body for every level's siblings.
 	var buf bytes.Buffer
 	buf.Grow(size)
 	if err := json.NewEncoder(&buf).Encode(req); err != nil {
@@ -215,4 +231,7 @@ func (a *API) Stats() Stats {
 	return s
 }
 
-var _ Conn = (*API)(nil)
+var (
+	_ Conn    = (*API)(nil)
+	_ Batcher = (*API)(nil)
+)

@@ -53,6 +53,35 @@ func TestAPIBatchRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAPIBatchSplitsLargeSets: a set larger than the web form's batch
+// limit goes out as several batch requests, answered in order.
+func TestAPIBatchSplitsLargeSets(t *testing.T) {
+	db, srv := vehiclesServer(t, 300, 50, hiddendb.CountExact, webform.Options{})
+	conn := NewAPI(srv.URL, HTTPOptions{Client: srv.Client()})
+	ctx := context.Background()
+	if _, err := conn.Schema(ctx); err != nil {
+		t.Fatal(err)
+	}
+	qs := make([]hiddendb.Query, db.Schema().DomainSize(datagen.VehAttrModel))
+	for v := range qs {
+		qs[v] = hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrModel, Value: v})
+	}
+	req0 := conn.Stats().HTTPRequests
+	results, err := conn.ExecuteBatch(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := conn.Stats().HTTPRequests-req0, int64((len(qs)+maxBatch-1)/maxBatch); got != want {
+		t.Fatalf("%d queries took %d batch requests, want %d", len(qs), got, want)
+	}
+	for i, q := range qs {
+		want, _ := db.Execute(q)
+		if results[i].Count != want.Count || len(results[i].Tuples) != len(want.Tuples) {
+			t.Fatalf("query %d: count %d rows %d, want %d/%d", i, results[i].Count, len(results[i].Tuples), want.Count, len(want.Tuples))
+		}
+	}
+}
+
 func TestAPIBatchSingleRateCharge(t *testing.T) {
 	// Rate 1/s with burst 2: two wire requests pass (schema is unmetered,
 	// search endpoints are), so a 5-query batch succeeds where 5 separate

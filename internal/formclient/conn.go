@@ -42,6 +42,37 @@ type Conn interface {
 	Stats() Stats
 }
 
+// Batcher is the optional capability of answering a set of queries in
+// one call. A raw connector (API, Local) ships the set as batch wire
+// requests; a layer (the history cache, the execution layer, a job's
+// query budget) answers what it can itself and forwards the rest as one
+// set.
+type Batcher interface {
+	// ExecuteBatch answers qs in order, one result per query.
+	ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error)
+}
+
+// ExecuteAll answers qs in order, one result per query: in one call when
+// conn is a Batcher, otherwise with one Execute per query. Walkers use it
+// to ask a level's sibling queries at once.
+func ExecuteAll(ctx context.Context, conn Conn, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
+	if len(qs) == 0 {
+		return nil, nil
+	}
+	if b, ok := conn.(Batcher); ok {
+		return b.ExecuteBatch(ctx, qs)
+	}
+	out := make([]*hiddendb.Result, len(qs))
+	for i, q := range qs {
+		res, err := conn.Execute(ctx, q)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
 // Local is a Conn bound directly to an in-process database.
 type Local struct {
 	db      *hiddendb.DB
@@ -71,9 +102,9 @@ func (l *Local) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result
 	return l.db.Execute(q)
 }
 
-// ExecuteBatch answers several queries in one call — the in-process
-// analogue of the web form's batch endpoint, so the queryexec layer (and
-// offline experiments) can exercise micro-batching without a server.
+// ExecuteBatch implements Batcher: several queries in one call — the
+// in-process analogue of the web form's batch endpoint, so the queryexec
+// layer (and offline experiments) can exercise batching without a server.
 func (l *Local) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -99,4 +130,7 @@ func (l *Local) Stats() Stats {
 	return Stats{Queries: l.queries.Load()}
 }
 
-var _ Conn = (*Local)(nil)
+var (
+	_ Conn    = (*Local)(nil)
+	_ Batcher = (*Local)(nil)
+)

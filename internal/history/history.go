@@ -44,7 +44,7 @@
 // policy evicts approximately-least-recently-used entries. Fully
 // specified overflow entries are pinned and never evicted: their rows are
 // the only window onto duplicate-heavy cells, and dropping them would
-// make those rows unreachable on replay (see storeRows in Execute).
+// make those rows unreachable on replay (see remember).
 //
 // Cached and inferred overflow answers carry no tuple rows (the top-k rows
 // of an overflowing query are never used by the samplers, and storing k
@@ -267,10 +267,61 @@ func (c *Cache) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result
 	if err != nil {
 		return nil, err
 	}
+	if res := c.lookup(schema, q, telemetry.TraceFrom(ctx)); res != nil {
+		return res, nil
+	}
+	res, err := c.inner.Execute(ctx, q)
+	if err != nil {
+		return nil, err
+	}
+	c.remember(schema, q, res)
+	return res, nil
+}
 
-	// Traced walks time the cache's share of the call; the untraced path
-	// costs one ctx.Value miss and no clock reads.
+// ExecuteBatch implements formclient.Batcher: hits and inferences are
+// answered here, and the misses go to the wrapped connector as one set
+// and are stored exactly as Execute stores them.
+func (c *Cache) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
+	schema, err := c.Schema(ctx)
+	if err != nil {
+		return nil, err
+	}
 	tr := telemetry.TraceFrom(ctx)
+	out := make([]*hiddendb.Result, len(qs))
+	var miss []int
+	for i, q := range qs {
+		tr.Focus(i)
+		if out[i] = c.lookup(schema, q, tr); out[i] == nil {
+			miss = append(miss, i)
+		}
+	}
+	if len(miss) == 0 {
+		return out, nil
+	}
+	fwd := make([]hiddendb.Query, len(miss))
+	for j, i := range miss {
+		fwd[j] = qs[i]
+	}
+	prev := tr.Narrow(miss)
+	res, err := formclient.ExecuteAll(ctx, c.inner, fwd)
+	tr.Restore(prev)
+	if err != nil {
+		return nil, err
+	}
+	for j, i := range miss {
+		c.remember(schema, qs[i], res[j])
+		out[i] = res[j]
+	}
+	return out, nil
+}
+
+// lookup answers q without the wrapped connector — rule 1, then rules
+// 2-4 — and returns nil on a miss. Traced walks record the outcome and
+// the lookup's time on the current span; the untraced path reads no
+// clocks.
+//
+//hdlint:hotpath
+func (c *Cache) lookup(schema *hiddendb.Schema, q hiddendb.Query, tr *telemetry.WalkTrace) *hiddendb.Result {
 	var lookupStart time.Time
 	if tr != nil {
 		lookupStart = time.Now()
@@ -289,7 +340,7 @@ func (c *Cache) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result
 		if tr != nil {
 			c.markLookup(tr, telemetry.CacheHit, lookupStart)
 		}
-		return e.result(), nil
+		return e.result()
 	}
 
 	if res, rule := c.infer(schema, q); res != nil {
@@ -298,7 +349,7 @@ func (c *Cache) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result
 			c.markLookup(tr, rule, lookupStart)
 		}
 		c.store(q, res, !res.Overflow)
-		return res, nil
+		return res
 	}
 
 	if tr != nil {
@@ -306,17 +357,17 @@ func (c *Cache) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result
 		// same span via the execution layer's own marks.
 		c.markLookup(tr, telemetry.CacheMiss, lookupStart)
 	}
-	res, err := c.inner.Execute(ctx, q)
-	if err != nil {
-		return nil, err
-	}
-	// Fully-specified overflow answers keep their rows: they are the only
-	// window onto duplicate-heavy cells, and a row-less replay would make
-	// those rows unreachable on cache hits.
+	return nil
+}
+
+// remember stores the wrapped connector's answer to a miss. Fully
+// specified overflow answers keep their rows: they are the only window
+// onto duplicate-heavy cells, and a row-less replay would make those rows
+// unreachable on cache hits.
+func (c *Cache) remember(schema *hiddendb.Schema, q hiddendb.Query, res *hiddendb.Result) {
 	keepRows := !res.Overflow || q.Len() == schema.NumAttrs()
 	c.issued.Add(1)
 	c.store(q, res, keepRows)
-	return res, nil
 }
 
 // result materializes an entry as a Result. The rows are shared with the
@@ -507,4 +558,7 @@ func (c *Cache) inferFromSiblingCounts(schema *hiddendb.Schema, q hiddendb.Query
 	return nil
 }
 
-var _ formclient.Conn = (*Cache)(nil)
+var (
+	_ formclient.Conn    = (*Cache)(nil)
+	_ formclient.Batcher = (*Cache)(nil)
+)

@@ -30,6 +30,19 @@ func (b *budgetConn) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.R
 	return b.inner.Execute(ctx, q)
 }
 
+// ExecuteBatch implements formclient.Batcher: the set is charged query
+// by query, and a set that would overrun the budget fails whole, so no
+// query past MaxQueries reaches the inner conn.
+func (b *budgetConn) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
+	if b.used.Add(int64(len(qs))) > b.budget {
+		return nil, fmt.Errorf("%w (budget %d)", ErrBudgetExhausted, b.budget)
+	}
+	return formclient.ExecuteAll(ctx, b.inner, qs)
+}
+
 func (b *budgetConn) Stats() formclient.Stats { return b.inner.Stats() }
 
-var _ formclient.Conn = (*budgetConn)(nil)
+var (
+	_ formclient.Conn    = (*budgetConn)(nil)
+	_ formclient.Batcher = (*budgetConn)(nil)
+)

@@ -70,7 +70,7 @@ func (m *Manager) hostLocked(host string) *hostEntry {
 
 // connFor assembles the job's connector stack: base conn (shared per
 // target URL, below the fault profile when one is configured) → shared
-// execution layer (coalescing, micro-batching, host-wide AIMD admission)
+// execution layer (coalescing, batched query sets, host-wide AIMD admission)
 // → shared history cache (unless opted out) → per-job query budget. A
 // cache created here is warm-started from its HistoryDir checkpoint,
 // when one exists.
@@ -97,7 +97,6 @@ func (he *hostEntry) connFor(spec Spec, cfg Config) hdsampler.Stack {
 			base = fault
 		}
 		exec := queryexec.New(base, queryexec.Options{
-			BatchLinger: cfg.BatchLinger,
 			MaxBatch:    cfg.BatchMax,
 			Limiter:     he.limiter,
 			Wire:        he.wire,

@@ -27,8 +27,9 @@ type Config struct {
 	MaxConcurrent int
 	// HostRatePerSec is the per-host politeness budget: all jobs hitting
 	// one host together issue at most this many real wire requests per
-	// second (a batch request counts once — that is the batching win).
-	// 0 disables throttling.
+	// second. A batch request — a count-weighted level's siblings or a
+	// crawl node's children on an API target — counts once. 0 disables
+	// throttling.
 	HostRatePerSec float64
 	// HostBurst is the politeness token bucket capacity (default 10).
 	HostBurst int
@@ -37,12 +38,17 @@ type Config struct {
 	// and multiplicatively cut on 429 pushback. 0 disables concurrency
 	// limiting.
 	HostMaxInFlight int
-	// BatchLinger, when positive, lets concurrent distinct queries from
-	// all jobs on one API target share batch wire requests packed within
-	// this window (POST /api/search/batch; one rate-limit charge per
-	// batch). HTML targets fall back to sequential execution.
+	// BatchLinger once held wire-bound queries so concurrent ones could
+	// share a batch request.
+	//
+	// Deprecated: ignored; batching is explicit. Query sets (a
+	// count-weighted level's siblings, a crawl node's children) go out as
+	// batch requests at once.
 	BatchLinger time.Duration
-	// BatchMax bounds queries per batch wire request (default 16).
+	// BatchMax bounds the queries of a set packed into one batch wire
+	// request on an API target (POST /api/search/batch, one rate-limit
+	// charge per request; default 16). HTML targets ask a set one query
+	// at a time.
 	BatchMax int
 	// CacheMaxEntries caps each shared per-host history cache
 	// (0 = unlimited).

@@ -1,8 +1,12 @@
 package jobsvc
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
@@ -160,6 +164,74 @@ func TestJobBudgetExhaustionKeepsPartialSamples(t *testing.T) {
 	}
 }
 
+// queryCountingTarget serves a vehicles DB behind the web form and counts
+// every query that reaches it, batch members included.
+func queryCountingTarget(t *testing.T, n, k int, mode hiddendb.CountMode) (*httptest.Server, *atomic.Int64) {
+	t.Helper()
+	ds := datagen.Vehicles(n, 21)
+	db, err := hiddendb.New(ds.Schema, ds.Tuples, nil, hiddendb.Config{K: k, CountMode: mode})
+	if err != nil {
+		t.Fatal(err)
+	}
+	site := webform.NewServer(db, webform.Options{})
+	var queries atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Path {
+		case "/api/search":
+			queries.Add(1)
+		case "/api/search/batch":
+			body, err := io.ReadAll(r.Body)
+			if err != nil {
+				t.Error(err)
+			}
+			var req struct{ Queries []json.RawMessage }
+			if err := json.Unmarshal(body, &req); err != nil {
+				t.Error(err)
+			}
+			queries.Add(int64(len(req.Queries)))
+			r.Body = io.NopCloser(bytes.NewReader(body))
+		}
+		site.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+	return srv, &queries
+}
+
+// TestWeightedBudgetHoldsWithSiblingSets: a count-weighted job asks its
+// siblings as sets, and the budget still holds query by query — the
+// target sees at most MaxQueries queries, the job fails on the budget,
+// and its partial samples are kept. No history, so every charged query
+// would reach the target.
+func TestWeightedBudgetHoldsWithSiblingSets(t *testing.T) {
+	srv, queries := queryCountingTarget(t, 2000, 250, hiddendb.CountExact)
+	m := newTestManager(t, srv, Config{DataDir: t.TempDir()})
+	const budget = 150
+	v, err := m.Submit(Spec{
+		URL: srv.URL, Connector: ConnectorAPI, Method: MethodWeighted, TrustCounts: true,
+		N: 100000, Workers: 2, Seed: 6, MaxQueries: budget, NoHistory: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v = waitJob(t, m, v.ID, 30*time.Second, func(v View) bool { return v.State.Terminal() })
+	if v.State != StateFailed || !strings.Contains(v.Error, "budget") {
+		t.Fatalf("state = %s (%q), want failed on the budget", v.State, v.Error)
+	}
+	if got := queries.Load(); got > budget {
+		t.Fatalf("target saw %d queries, budget %d", got, budget)
+	}
+	if v.Accepted == 0 {
+		t.Fatal("budgeted job accepted no samples before failing")
+	}
+	set, err := m.SampleSet(v.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(set.Samples)) != v.Accepted || v.Checkpoint == "" {
+		t.Fatalf("partial set: %d samples, view says %d, checkpoint %q", len(set.Samples), v.Accepted, v.Checkpoint)
+	}
+}
+
 func TestQueueRespectsMaxConcurrent(t *testing.T) {
 	_, srv := newTarget(t, 2000, 250, hiddendb.CountNone)
 	m := newTestManager(t, srv, Config{MaxConcurrent: 1})
@@ -271,18 +343,21 @@ func TestPolitenessThrottleCounts(t *testing.T) {
 	}
 }
 
-// TestExecLayerBatchesAcrossWorkers drives a replica pool through the
-// daemon's shared execution layer with micro-batching on: the host's
-// wire bill must come in under the workers' logical query bill, and the
-// exec counters must show why.
+// TestExecLayerBatchesAcrossWorkers drives a count-weighted replica pool
+// through the daemon's shared execution layer: each level's sibling
+// probes go out as batch requests, so the host's wire bill must come in
+// under the workers' logical query bill, and the exec counters must
+// show why.
 func TestExecLayerBatchesAcrossWorkers(t *testing.T) {
-	_, srv := newTarget(t, 1500, 200, hiddendb.CountNone)
+	_, srv := newTarget(t, 1500, 200, hiddendb.CountExact)
 	m := newTestManager(t, srv, Config{
-		BatchLinger:     2 * time.Millisecond,
 		BatchMax:        16,
 		HostMaxInFlight: 8,
 	})
-	v, err := m.Submit(Spec{URL: srv.URL, Connector: ConnectorAPI, N: 48, Workers: 8, Seed: 9, NoHistory: true})
+	v, err := m.Submit(Spec{
+		URL: srv.URL, Connector: ConnectorAPI, Method: MethodWeighted, TrustCounts: true,
+		N: 48, Workers: 8, Seed: 9, NoHistory: true,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,9 +379,8 @@ func TestExecLayerBatchesAcrossWorkers(t *testing.T) {
 	if hs.Limit <= 0 || hs.Limit > 8 {
 		t.Fatalf("AIMD window = %g, want in (0, 8]", hs.Limit)
 	}
-	// A straggler batch flush may still be draining right after the job
-	// turns terminal (abandoned waiters do not cancel the shared flush);
-	// the gauge must settle to zero, not leak slots.
+	// A straggler wire call may still be draining right after the job
+	// turns terminal; the gauge must settle to zero, not leak slots.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
 		if inFlight := m.Hosts()[0].InFlight; inFlight == 0 {

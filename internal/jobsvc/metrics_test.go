@@ -173,7 +173,7 @@ func grepLines(text, substr string) string {
 // TestDebugWalksEndpoint verifies the trace ring is exposed over HTTP with
 // full per-level spans once a traced job has run.
 func TestDebugWalksEndpoint(t *testing.T) {
-	_, srv := newTarget(t, 300, 25, hiddendb.CountExact)
+	db, srv := newTarget(t, 300, 25, hiddendb.CountExact)
 	m := newTestManager(t, srv, Config{
 		MaxConcurrent:   1,
 		TraceSampleRate: 1,
@@ -209,5 +209,57 @@ func TestDebugWalksEndpoint(t *testing.T) {
 		if tr.Host == "" || !tr.Produced || len(tr.Levels) == 0 {
 			t.Errorf("trace incomplete: %+v", tr)
 		}
+	}
+
+	// A count-weighted job asks each level's siblings as one set: its
+	// traces keep one span per sibling, each with its cache outcome, and
+	// the members that went out in a batch request say so.
+	w := api.submit(Spec{URL: srv.URL, Connector: ConnectorAPI, Method: MethodWeighted, TrustCounts: true, N: 5, Workers: 1, Seed: 4})
+	api.wait(w.ID, 30*time.Second, func(v View) bool { return v.State.Terminal() })
+	code, body = api.do(http.MethodGet, "/debug/walks", nil)
+	if code != http.StatusOK {
+		t.Fatalf("GET /debug/walks: %d %s", code, body)
+	}
+	dump = WalkDump{}
+	if err := json.Unmarshal(body, &dump); err != nil {
+		t.Fatalf("decode: %v\n%s", err, body)
+	}
+	weighted, batched := 0, 0
+	for _, tr := range dump.Walks {
+		if tr.Job != w.ID {
+			continue
+		}
+		weighted++
+		type level struct{ walk, depth, attr int }
+		values := map[level][]int{}
+		for _, lv := range tr.Levels {
+			if lv.Cache == "" {
+				t.Errorf("span without a cache outcome: %+v", lv)
+			}
+			if lv.Exec == "batched" {
+				batched++
+			}
+			if lv.Attr >= 0 {
+				k := level{lv.Walk, lv.Depth, lv.Attr}
+				values[k] = append(values[k], lv.Value)
+			}
+		}
+		for k, vs := range values {
+			// dom-1 probed siblings, plus the derived last child when the
+			// walk chose it.
+			dom := db.Schema().DomainSize(k.attr)
+			sort.Ints(vs)
+			for v := 0; v < dom-1; v++ {
+				if v >= len(vs) || vs[v] != v {
+					t.Fatalf("level %+v spans values %v, want one per sibling 0..%d", k, vs, dom-2)
+				}
+			}
+			if len(vs) > dom || (len(vs) == dom && vs[dom-1] != dom-1) {
+				t.Fatalf("level %+v spans values %v", k, vs)
+			}
+		}
+	}
+	if weighted == 0 || batched == 0 {
+		t.Fatalf("weighted traces = %d with %d batched sibling spans; want both > 0", weighted, batched)
 	}
 }

@@ -8,14 +8,16 @@
 //   - Single-flight coalescing: identical in-flight queries (keyed like
 //     the history cache, on the canonical Query.Key) collapse into one
 //     wire request whose answer fans out to every waiter.
-//   - Micro-batching: a small linger window packs concurrent *distinct*
-//     queries into one batch wire request when the connector supports it
-//     (formclient.API against webform's POST /api/search/batch). The
-//     server executes the whole batch under a single rate-limit charge,
-//     so a batch of b queries costs 1/b of the politeness budget each.
-//     Connectors without batch support (HTML scraping) fall back to
-//     sequential per-query execution — coalescing and limiting still
-//     apply.
+//   - Batch requests for query sets: a caller that asks several distinct
+//     queries at once (formclient.ExecuteAll — a count-weighted level's
+//     siblings, a crawl node's children) has them sent straight away as
+//     batch wire requests of at most MaxBatch queries when the connector
+//     supports it (formclient.API against webform's POST
+//     /api/search/batch). The server executes a whole batch under a
+//     single rate-limit charge, so a batch of b queries costs 1/b of the
+//     politeness budget each. Connectors without batch support (HTML
+//     scraping) get the set one query at a time — coalescing and
+//     limiting still apply. Nothing waits for other callers' queries.
 //   - An AIMD adaptive concurrency limiter shared per host: additive
 //     increase on clean responses, multiplicative decrease on 429
 //     pushback, plus an aggregate rate meter. This replaces the fixed

@@ -13,21 +13,10 @@ import (
 	"hdsampler/internal/telemetry"
 )
 
-// BatchExecer is the optional connector capability micro-batching needs:
-// answering several conjunctive queries in one wire request.
-type BatchExecer interface {
-	// ExecuteBatch answers qs in order, one result per query.
-	ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error)
-}
-
 // Options tunes an Executor.
 type Options struct {
-	// BatchLinger, when positive, holds each wire-bound query up to this
-	// long so concurrent distinct queries can share one batch request.
-	// Ignored when the wrapped connector is not a BatchExecer.
-	BatchLinger time.Duration
 	// MaxBatch bounds the queries packed into one batch request (default
-	// 16); a full batch flushes immediately, before the linger expires.
+	// 16); ExecuteBatch sends a larger set as several.
 	MaxBatch int
 	// Limiter is the shared per-host admission controller; nil runs
 	// unlimited.
@@ -43,7 +32,8 @@ type Options struct {
 	Sleep func(ctx context.Context, d time.Duration) error
 	// Wire, when set, observes every wire round trip (single-query and
 	// batch requests alike); ExecLatency, when set, observes every logical
-	// Execute through the layer, including coalescing and linger waits.
+	// query through the layer, including coalescing waits (each member of
+	// a set is observed with the whole set's latency).
 	// Wire calls are rare and slow relative to a clock read, so these stay
 	// on for all traffic; leave nil to skip the timing entirely.
 	Wire        *telemetry.Histogram
@@ -74,15 +64,17 @@ type Stats struct {
 // directly above the raw connector, below the shared history cache:
 //
 //	sampler → history.Cache → queryexec.Executor → formclient.{API,HTTP}
+//
+// A query set (ExecuteBatch) goes out straight away on the caller's
+// goroutine, as batch requests when the connector is a
+// formclient.Batcher; nothing waits for other callers' queries.
 type Executor struct {
 	inner formclient.Conn
-	batch BatchExecer // nil disables micro-batching
+	batch formclient.Batcher // nil: sets go out one query at a time
 	opts  Options
 
-	mu      sync.Mutex
-	calls   map[uint64]*call // keyed by query signature hash; chained on collision
-	pending []*pendingQuery
-	timer   *time.Timer
+	mu    sync.Mutex
+	calls map[uint64]*call // keyed by query signature hash; chained on collision
 
 	lastRetries atomic.Int64
 
@@ -106,6 +98,11 @@ type call struct {
 	res  *hiddendb.Result
 	err  error
 }
+
+// errAbandoned publishes the flights of a set whose earlier batch failed:
+// it wraps context.Canceled, so followers with live contexts re-lead
+// their queries instead of inheriting another query's failure.
+var errAbandoned = fmt.Errorf("queryexec: query set abandoned: %w", context.Canceled)
 
 // findCall walks a hash slot's collision chain for the call matching the
 // full canonical key. The caller holds the executor's mutex. The chain
@@ -143,46 +140,8 @@ func removeCall(calls map[uint64]*call, hash uint64, c *call) {
 	}
 }
 
-// wireMarks accumulates a traced query's execution-layer outcome
-// (exec path, transient retries, AIMD window at send time) for later
-// application to its walk trace. The flush goroutine must never touch
-// the trace itself — a cancelled enqueuer walks away mid-flight and
-// keeps using its trace — so marks are staged here and applied by the
-// goroutine that owns the trace.
-type wireMarks struct {
-	exec    telemetry.ExecOutcome
-	retries int
-	aimd    float64
-}
-
-// apply transfers the staged marks onto the owning walk's trace.
-func (m *wireMarks) apply(tr *telemetry.WalkTrace) {
-	if m.exec != telemetry.ExecNone {
-		tr.MarkExec(m.exec)
-	}
-	if m.aimd != 0 {
-		tr.SetAIMDLimit(m.aimd)
-	}
-	for i := 0; i < m.retries; i++ {
-		tr.AddRetry()
-	}
-}
-
-// pendingQuery is one query waiting in the linger window. traced asks
-// the flush goroutine to stage wireMarks; the enqueuer applies them to
-// its trace after the done channel closes (and never reads them when it
-// abandons the wait on cancellation).
-type pendingQuery struct {
-	q      hiddendb.Query
-	traced bool
-	marks  wireMarks
-	res    *hiddendb.Result
-	err    error
-	done   chan struct{}
-}
-
-// New wraps inner with the execution layer. Micro-batching engages only
-// when opts.BatchLinger > 0 and inner implements BatchExecer.
+// New wraps inner with the execution layer. Query sets go out as batch
+// requests when inner is a formclient.Batcher.
 func New(inner formclient.Conn, opts Options) *Executor {
 	if opts.MaxBatch <= 0 {
 		opts.MaxBatch = 16
@@ -196,14 +155,10 @@ func New(inner formclient.Conn, opts Options) *Executor {
 		opts.Sleep = sleepCtx
 	}
 	x := &Executor{inner: inner, opts: opts, calls: make(map[uint64]*call)}
+	x.batch, _ = inner.(formclient.Batcher)
 	// Snapshot the connector's retry counter: pre-existing 429 history on
 	// a reused connector is not congestion this executor caused.
 	x.lastRetries.Store(inner.Stats().RateLimitRetries)
-	if opts.BatchLinger > 0 {
-		if be, ok := inner.(BatchExecer); ok {
-			x.batch = be
-		}
-	}
 	return x
 }
 
@@ -233,12 +188,11 @@ func (x *Executor) ExecStats() Stats {
 func (x *Executor) Limiter() *Limiter { return x.opts.Limiter }
 
 // Execute implements formclient.Conn with single-flight semantics: the
-// first caller of a canonical query becomes its leader and executes (via
-// the batcher when enabled); callers arriving while it is in flight wait
-// and share the answer. Flights are keyed by the query's precomputed
-// signature hash (full-key verified), and followers share the leader's
-// Result outright — Results are immutable by convention, so fan-out costs
-// no deep copies.
+// first caller of a canonical query becomes its leader and executes;
+// callers arriving while it is in flight wait and share the answer.
+// Flights are keyed by the query's precomputed signature hash (full-key
+// verified), and followers share the leader's Result outright — Results
+// are immutable by convention, so fan-out costs no deep copies.
 //
 //hdlint:hotpath
 func (x *Executor) Execute(ctx context.Context, q hiddendb.Query) (*hiddendb.Result, error) {
@@ -263,25 +217,11 @@ func (x *Executor) execute(ctx context.Context, q hiddendb.Query, tr *telemetry.
 		x.mu.Lock()
 		if c := findCall(x.calls, hash, key); c != nil {
 			x.mu.Unlock()
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, ctx.Err()
+			res, retry, err := x.follow(ctx, c, tr)
+			if retry {
+				continue
 			}
-			if c.err != nil {
-				// A leader cancelled by its own caller must not poison
-				// followers whose contexts are still live: retry, becoming
-				// the new leader.
-				if ctx.Err() == nil && (errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
-					continue
-				}
-				return nil, c.err
-			}
-			x.coalesced.Add(1)
-			if tr != nil {
-				tr.MarkExec(telemetry.ExecCoalesced)
-			}
-			return c.res, nil
+			return res, err
 		}
 		//hdlint:ignore hotpath the leader's flight record: one allocation per distinct in-flight query, amortized across every coalesced follower
 		c := &call{key: key, done: make(chan struct{})}
@@ -289,51 +229,217 @@ func (x *Executor) execute(ctx context.Context, q hiddendb.Query, tr *telemetry.
 		x.calls[hash] = c
 		x.mu.Unlock()
 
-		res, err := x.execLeader(ctx, q, tr)
-
-		x.mu.Lock()
-		removeCall(x.calls, hash, c)
-		c.res, c.err = res, err
-		x.mu.Unlock()
-		close(c.done)
-		if err != nil {
-			return nil, err
+		c.res, c.err = x.execDirect(ctx, q, tr)
+		x.publish(hash, c)
+		if c.err != nil {
+			return nil, c.err
 		}
-		return res, nil
+		return c.res, nil
 	}
 }
 
-// execLeader performs the wire-bound execution for a single-flight leader.
-func (x *Executor) execLeader(ctx context.Context, q hiddendb.Query, tr *telemetry.WalkTrace) (*hiddendb.Result, error) {
-	if x.batch == nil {
-		var m *wireMarks
-		if tr != nil {
-			m = &wireMarks{}
-		}
-		res, err := x.execDirect(ctx, q, m)
-		if tr != nil {
-			m.apply(tr)
-		}
-		return res, err
+// follow waits for an identical in-flight query and shares its answer.
+// retry reports that the leader was cancelled by its own caller while
+// ours is live: the follower must not be poisoned, and re-leads instead.
+func (x *Executor) follow(ctx context.Context, c *call, tr *telemetry.WalkTrace) (res *hiddendb.Result, retry bool, err error) {
+	select {
+	case <-c.done:
+	case <-ctx.Done():
+		return nil, false, ctx.Err()
 	}
-	return x.enqueue(ctx, q, tr)
+	if c.err != nil {
+		if ctx.Err() == nil && (errors.Is(c.err, context.Canceled) || errors.Is(c.err, context.DeadlineExceeded)) {
+			return nil, true, nil
+		}
+		return nil, false, c.err
+	}
+	x.coalesced.Add(1)
+	if tr != nil {
+		tr.MarkExec(telemetry.ExecCoalesced)
+	}
+	return c.res, false, nil
+}
+
+// publish ends a leader's flight: c.res and c.err are set, and followers
+// may read them once done closes.
+func (x *Executor) publish(hash uint64, c *call) {
+	x.mu.Lock()
+	removeCall(x.calls, hash, c)
+	x.mu.Unlock()
+	close(c.done)
+}
+
+// ExecuteBatch implements formclient.Batcher. Members with an identical
+// query in flight join it; the rest become single-flight leaders and go
+// out at once on the caller's goroutine — as batch requests of at most
+// MaxBatch queries when the connector can batch, one query at a time
+// otherwise. The first failure ends the set.
+func (x *Executor) ExecuteBatch(ctx context.Context, qs []hiddendb.Query) ([]*hiddendb.Result, error) {
+	x.queries.Add(int64(len(qs)))
+	tr := telemetry.TraceFrom(ctx)
+	if x.opts.ExecLatency == nil {
+		return x.executeBatch(ctx, qs, tr)
+	}
+	start := time.Now()
+	out, err := x.executeBatch(ctx, qs, tr)
+	d := time.Since(start)
+	for range qs {
+		x.opts.ExecLatency.Observe(d)
+	}
+	return out, err
+}
+
+// executeBatch is ExecuteBatch's body; tr's open set (if any) has one
+// member per query.
+func (x *Executor) executeBatch(ctx context.Context, qs []hiddendb.Query, tr *telemetry.WalkTrace) ([]*hiddendb.Result, error) {
+	calls := make([]*call, len(qs))
+	var lead, follow []int
+	x.mu.Lock()
+	for i, q := range qs {
+		hash, key := q.Hash(), q.Key()
+		if c := findCall(x.calls, hash, key); c != nil {
+			calls[i] = c
+			follow = append(follow, i)
+			continue
+		}
+		c := &call{key: key, done: make(chan struct{})}
+		c.next = x.calls[hash]
+		x.calls[hash] = c
+		calls[i] = c
+		lead = append(lead, i)
+	}
+	x.mu.Unlock()
+
+	// Lead first, follow after: a member following a flight this same set
+	// leads only waits once that flight is published. After a failed
+	// chunk the remaining flights are published abandoned, unsent.
+	size := x.opts.MaxBatch
+	if x.batch == nil {
+		size = 1
+	}
+	out := make([]*hiddendb.Result, len(qs))
+	var err error
+	for start := 0; start < len(lead); start += size {
+		chunk := lead[start:min(start+size, len(lead))]
+		sent := err == nil
+		if sent {
+			x.run(ctx, qs, chunk, calls, tr)
+		}
+		for _, i := range chunk {
+			c := calls[i]
+			if !sent {
+				c.err = errAbandoned
+			} else if c.err != nil && err == nil {
+				err = c.err
+			}
+			out[i] = c.res
+			x.publish(qs[i].Hash(), c)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range follow {
+		tr.Focus(i)
+		res, retry, ferr := x.follow(ctx, calls[i], tr)
+		if retry {
+			res, ferr = x.execute(ctx, qs[i], tr)
+		}
+		if ferr != nil {
+			return nil, ferr
+		}
+		out[i] = res
+	}
+	return out, nil
+}
+
+// run sends one chunk of leader members (indexes into qs and calls) and
+// stores each member's answer in its call: a lone query goes out as a
+// plain request; two or more share one batch wire request and one
+// rate-limit charge. A transient fault is retried for the whole batch;
+// a batch that still fails falls back to unbatched execution — one
+// query's problem (a server-side budget, a validation error) must not
+// abort its batchmates.
+func (x *Executor) run(ctx context.Context, qs []hiddendb.Query, chunk []int, calls []*call, tr *telemetry.WalkTrace) {
+	if len(chunk) == 1 {
+		i := chunk[0]
+		tr.Focus(i)
+		calls[i].res, calls[i].err = x.execDirect(ctx, qs[i], tr)
+		return
+	}
+	batch := make([]hiddendb.Query, len(chunk))
+	for j, i := range chunk {
+		batch[j] = qs[i]
+	}
+	var results []*hiddendb.Result
+	var err error
+	for attempt := 0; ; attempt++ {
+		if err = x.opts.Limiter.Acquire(ctx); err != nil {
+			break
+		}
+		if tr != nil {
+			limit := x.opts.Limiter.Limit()
+			for _, i := range chunk {
+				tr.Focus(i)
+				tr.SetAIMDLimit(limit)
+			}
+		}
+		var start time.Time
+		if x.opts.Wire != nil {
+			start = time.Now()
+		}
+		results, err = x.batch.ExecuteBatch(ctx, batch)
+		if x.opts.Wire != nil {
+			x.opts.Wire.Observe(time.Since(start))
+		}
+		x.wire.Add(1)
+		x.batchReqs.Add(1)
+		x.opts.Limiter.Release(x.clean(err))
+		if err == nil && len(results) != len(batch) {
+			err = fmt.Errorf("queryexec: batch answered %d of %d queries", len(results), len(batch))
+		}
+		if !x.retryable(ctx, err, attempt) {
+			break
+		}
+		x.transients.Add(1)
+		for _, i := range chunk {
+			tr.Focus(i)
+			tr.AddRetry()
+		}
+		if serr := x.opts.Sleep(ctx, transientBackoff(attempt)); serr != nil {
+			err = serr
+			break
+		}
+	}
+	for j, i := range chunk {
+		tr.Focus(i)
+		if err != nil {
+			calls[i].res, calls[i].err = x.execDirect(ctx, qs[i], tr)
+			continue
+		}
+		calls[i].res = results[j]
+		tr.MarkExec(telemetry.ExecBatched)
+	}
+	if err == nil {
+		x.batched.Add(int64(len(chunk)))
+	}
 }
 
 // execDirect issues one single-query wire request under the limiter,
 // retrying transient interface faults within the configured budget. The
 // admission slot is held only for the wire call itself — a backoff sleep
 // must not starve other queries of the window.
-func (x *Executor) execDirect(ctx context.Context, q hiddendb.Query, m *wireMarks) (*hiddendb.Result, error) {
+func (x *Executor) execDirect(ctx context.Context, q hiddendb.Query, tr *telemetry.WalkTrace) (*hiddendb.Result, error) {
 	for attempt := 0; ; attempt++ {
 		if err := x.opts.Limiter.Acquire(ctx); err != nil {
 			return nil, err
 		}
-		if m != nil {
+		if tr != nil {
 			// Traced walks record the AIMD window as seen at send time; the
 			// Limit read takes the limiter mutex, so it stays off the
 			// untraced path.
-			m.exec = telemetry.ExecWire
-			m.aimd = x.opts.Limiter.Limit()
+			tr.MarkExec(telemetry.ExecWire)
+			tr.SetAIMDLimit(x.opts.Limiter.Limit())
 		}
 		var start time.Time
 		if x.opts.Wire != nil {
@@ -349,8 +455,8 @@ func (x *Executor) execDirect(ctx context.Context, q hiddendb.Query, m *wireMark
 			return res, err
 		}
 		x.transients.Add(1)
-		if m != nil {
-			m.retries++
+		if tr != nil {
+			tr.AddRetry()
 		}
 		if serr := x.opts.Sleep(ctx, transientBackoff(attempt)); serr != nil {
 			return nil, serr
@@ -388,145 +494,7 @@ func (x *Executor) clean(err error) bool {
 	return retries <= prev
 }
 
-// enqueue parks a query in the linger window and waits for its flush.
-func (x *Executor) enqueue(ctx context.Context, q hiddendb.Query, tr *telemetry.WalkTrace) (*hiddendb.Result, error) {
-	p := &pendingQuery{q: q, traced: tr != nil, done: make(chan struct{})}
-	x.mu.Lock()
-	x.pending = append(x.pending, p)
-	var full []*pendingQuery
-	if len(x.pending) >= x.opts.MaxBatch {
-		full = x.takeLocked()
-	} else if len(x.pending) == 1 {
-		// The flush must not die with the first enqueuer: it answers every
-		// query the window accretes, so it detaches from that caller's
-		// cancellation (waiters still honor their own contexts below).
-		fctx := context.WithoutCancel(ctx)
-		x.timer = time.AfterFunc(x.opts.BatchLinger, func() { x.flush(fctx) })
-	}
-	x.mu.Unlock()
-	if full != nil {
-		x.run(context.WithoutCancel(ctx), full)
-	}
-	select {
-	case <-p.done:
-		if tr != nil {
-			p.marks.apply(tr)
-		}
-		return p.res, p.err
-	case <-ctx.Done():
-		// Abandoned: the flush goroutine may still be staging marks into
-		// p, so the trace takes none of them.
-		return nil, ctx.Err()
-	}
-}
-
-// takeLocked claims the pending window and disarms its timer; the caller
-// holds x.mu.
-func (x *Executor) takeLocked() []*pendingQuery {
-	batch := x.pending
-	x.pending = nil
-	if x.timer != nil {
-		x.timer.Stop()
-		x.timer = nil
-	}
-	return batch
-}
-
-// flush executes whatever the linger window holds (the timer path).
-func (x *Executor) flush(ctx context.Context) {
-	x.mu.Lock()
-	batch := x.takeLocked()
-	x.mu.Unlock()
-	if len(batch) > 0 {
-		x.run(ctx, batch)
-	}
-}
-
-// run executes one claimed batch: a lone query goes out as a plain
-// request; two or more share one batch wire request and one rate-limit
-// charge. A failed batch falls back to unbatched execution — one query's
-// problem (a server-side budget, a validation error) must not abort its
-// batchmates' unrelated walks.
-func (x *Executor) run(ctx context.Context, batch []*pendingQuery) {
-	if len(batch) == 1 {
-		p := batch[0]
-		p.res, p.err = x.execDirect(ctx, p.q, p.marksIfTraced())
-		close(p.done)
-		return
-	}
-	qs := make([]hiddendb.Query, len(batch))
-	for i, p := range batch {
-		qs[i] = p.q
-	}
-	var results []*hiddendb.Result
-	var err error
-	for attempt := 0; ; attempt++ {
-		err = x.opts.Limiter.Acquire(ctx)
-		if err != nil {
-			break
-		}
-		limit := -1.0 // Limit() takes the limiter mutex: read once, only if traced
-		for _, p := range batch {
-			if !p.traced {
-				continue
-			}
-			if limit < 0 {
-				limit = x.opts.Limiter.Limit()
-			}
-			p.marks.aimd = limit
-		}
-		var start time.Time
-		if x.opts.Wire != nil {
-			start = time.Now()
-		}
-		results, err = x.batch.ExecuteBatch(ctx, qs)
-		if x.opts.Wire != nil {
-			x.opts.Wire.Observe(time.Since(start))
-		}
-		x.wire.Add(1)
-		x.batchReqs.Add(1)
-		x.opts.Limiter.Release(x.clean(err))
-		if err == nil && len(results) != len(batch) {
-			err = fmt.Errorf("queryexec: batch answered %d of %d queries", len(results), len(batch))
-		}
-		// A transient fault fails the whole batch wire request; retry it as
-		// a unit before falling back to per-query execution, so one blip
-		// does not cost a full batch's worth of unbatched wire calls.
-		if !x.retryable(ctx, err, attempt) {
-			break
-		}
-		x.transients.Add(1)
-		for _, p := range batch {
-			if p.traced {
-				p.marks.retries++
-			}
-		}
-		if serr := x.opts.Sleep(ctx, transientBackoff(attempt)); serr != nil {
-			err = serr
-			break
-		}
-	}
-	for i, p := range batch {
-		if err != nil {
-			p.res, p.err = x.execDirect(ctx, p.q, p.marksIfTraced())
-		} else {
-			p.res = results[i]
-			if p.traced {
-				p.marks.exec = telemetry.ExecBatched
-			}
-			x.batched.Add(1)
-		}
-		close(p.done)
-	}
-}
-
-// marksIfTraced returns the staging area for a traced pending query, nil
-// otherwise.
-func (p *pendingQuery) marksIfTraced() *wireMarks {
-	if !p.traced {
-		return nil
-	}
-	return &p.marks
-}
-
-var _ formclient.Conn = (*Executor)(nil)
+var (
+	_ formclient.Conn    = (*Executor)(nil)
+	_ formclient.Batcher = (*Executor)(nil)
+)

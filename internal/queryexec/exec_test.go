@@ -132,91 +132,136 @@ func TestCoalesceDistinctKeysDoNotShare(t *testing.T) {
 	}
 }
 
+// makeQueries returns the queries make=0..n-1.
+func makeQueries(n int) []hiddendb.Query {
+	qs := make([]hiddendb.Query, n)
+	for i := range qs {
+		qs[i] = hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i})
+	}
+	return qs
+}
+
 func TestBatchingPacksDistinctQueries(t *testing.T) {
 	db := testDB(t, 500)
 	inner := formclient.NewLocal(db)
-	x := New(inner, Options{BatchLinger: 10 * time.Millisecond, MaxBatch: 8})
-	ctx := context.Background()
-
-	const workers = 6
-	var wg sync.WaitGroup
-	errs := make([]error, workers)
-	results := make([]*hiddendb.Result, workers)
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i})
-			results[i], errs[i] = x.Execute(ctx, q)
-		}(i)
+	x := New(inner, Options{MaxBatch: 8})
+	qs := makeQueries(6)
+	results, err := x.ExecuteBatch(context.Background(), qs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("worker %d: %v", i, err)
-		}
-		want, err := db.Execute(hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i}))
+	for i, q := range qs {
+		want, err := db.Execute(q)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(results[i].Tuples) != len(want.Tuples) {
-			t.Fatalf("worker %d: %d tuples, want %d", i, len(results[i].Tuples), len(want.Tuples))
+			t.Fatalf("query %d: %d tuples, want %d", i, len(results[i].Tuples), len(want.Tuples))
 		}
 	}
 	st := x.ExecStats()
-	if st.Batched == 0 || st.BatchRequests == 0 {
-		t.Fatalf("nothing batched: %+v", st)
-	}
-	if st.WireCalls >= workers {
-		t.Fatalf("wire calls = %d for %d distinct concurrent queries; batching saved nothing", st.WireCalls, workers)
+	if st.Queries != 6 || st.Batched != 6 || st.BatchRequests != 1 || st.WireCalls != 1 {
+		t.Fatalf("stats = %+v, want one batch request of six", st)
 	}
 	if inner.BatchCalls() != st.BatchRequests {
 		t.Fatalf("connector saw %d batch calls, executor reports %d", inner.BatchCalls(), st.BatchRequests)
 	}
 }
 
-func TestBatchFullWindowFlushesEarly(t *testing.T) {
-	db := testDB(t, 200)
+// TestExecuteBatchChunksAtMaxBatch: a set larger than MaxBatch goes out
+// at once as full batch requests plus a remainder — a count walk's 47
+// probed siblings on the vehicles model attribute (48 values, the last
+// derived from the parent's count) as 16/16/15.
+func TestExecuteBatchChunksAtMaxBatch(t *testing.T) {
+	db := testDB(t, 500)
 	inner := formclient.NewLocal(db)
-	// An hour-long linger: only the size trigger can flush.
-	x := New(inner, Options{BatchLinger: time.Hour, MaxBatch: 2})
-	ctx := context.Background()
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i})
-			if _, err := x.Execute(ctx, q); err != nil {
-				t.Errorf("worker %d: %v", i, err)
-			}
-		}(i)
+	x := New(inner, Options{MaxBatch: 16})
+	qs := make([]hiddendb.Query, db.Schema().DomainSize(datagen.VehAttrModel)-1)
+	for v := range qs {
+		qs[v] = hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrModel, Value: v})
 	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("full batch never flushed before the linger deadline")
+	if _, err := x.ExecuteBatch(context.Background(), qs); err != nil {
+		t.Fatal(err)
 	}
-	if st := x.ExecStats(); st.BatchRequests != 1 || st.Batched != 2 {
-		t.Fatalf("stats = %+v, want one batch of two", st)
+	if st := x.ExecStats(); st.BatchRequests != 3 || st.Batched != 47 || st.WireCalls != 3 {
+		t.Fatalf("stats = %+v, want three batch requests of 47 queries", st)
+	}
+	if inner.BatchCalls() != 3 {
+		t.Fatalf("connector saw %d batch calls, want 3", inner.BatchCalls())
 	}
 }
 
 func TestBatchSingletonGoesDirect(t *testing.T) {
 	db := testDB(t, 200)
 	inner := formclient.NewLocal(db)
-	x := New(inner, Options{BatchLinger: time.Millisecond, MaxBatch: 8})
-	if _, err := x.Execute(context.Background(), hiddendb.EmptyQuery()); err != nil {
+	x := New(inner, Options{MaxBatch: 8})
+	if _, err := x.ExecuteBatch(context.Background(), []hiddendb.Query{hiddendb.EmptyQuery()}); err != nil {
 		t.Fatal(err)
 	}
 	st := x.ExecStats()
-	if st.BatchRequests != 0 || st.Batched != 0 {
+	if st.BatchRequests != 0 || st.Batched != 0 || st.WireCalls != 1 {
 		t.Fatalf("lone query went through the batch endpoint: %+v", st)
 	}
 	if inner.BatchCalls() != 0 {
 		t.Fatal("connector saw a batch call for a lone query")
+	}
+}
+
+// TestExecuteBatchJoinsInFlight: a set member whose query is already in
+// flight rides that flight instead of going out again; the rest go out
+// as one batch.
+func TestExecuteBatchJoinsInFlight(t *testing.T) {
+	db := testDB(t, 300)
+	inner := &slowConn{Local: formclient.NewLocal(db), delay: 50 * time.Millisecond}
+	x := New(inner, Options{})
+	ctx := context.Background()
+	qs := makeQueries(4)
+	leader := make(chan error, 1)
+	go func() {
+		_, err := x.Execute(ctx, qs[2])
+		leader <- err
+	}()
+	for inner.cur.Load() == 0 { // wait until the single query is on the wire
+		time.Sleep(time.Millisecond)
+	}
+	results, err := x.ExecuteBatch(ctx, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-leader; err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		want, _ := db.Execute(q)
+		if len(results[i].Tuples) != len(want.Tuples) {
+			t.Fatalf("query %d: %d tuples, want %d", i, len(results[i].Tuples), len(want.Tuples))
+		}
+	}
+	st := x.ExecStats()
+	if st.Coalesced != 1 || st.Batched != 3 || st.BatchRequests != 1 || st.WireCalls != 2 {
+		t.Fatalf("stats = %+v, want one coalesced member and one batch of three", st)
+	}
+}
+
+// TestExecuteBatchSequentialWithoutBatcher: over a connector that cannot
+// batch (HTML scraping), a set goes out one query at a time.
+func TestExecuteBatchSequentialWithoutBatcher(t *testing.T) {
+	db := testDB(t, 300)
+	inner := &slowConn{Local: formclient.NewLocal(db)}
+	x := New(struct{ formclient.Conn }{inner}, Options{})
+	qs := makeQueries(5)
+	results, err := x.ExecuteBatch(context.Background(), qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range qs {
+		want, _ := db.Execute(q)
+		if len(results[i].Tuples) != len(want.Tuples) {
+			t.Fatalf("query %d: %d tuples, want %d", i, len(results[i].Tuples), len(want.Tuples))
+		}
+	}
+	if st := x.ExecStats(); st.WireCalls != 5 || st.BatchRequests != 0 || inner.execs.Load() != 5 {
+		t.Fatalf("stats = %+v (%d executes), want five single requests", st, inner.execs.Load())
 	}
 }
 
@@ -238,33 +283,24 @@ func (b *brokenBatchConn) ExecuteBatch(ctx context.Context, qs []hiddendb.Query)
 func TestBatchFailureFallsBackUnbatched(t *testing.T) {
 	db := testDB(t, 300)
 	inner := &brokenBatchConn{Local: formclient.NewLocal(db)}
-	x := New(inner, Options{BatchLinger: 10 * time.Millisecond, MaxBatch: 8})
-	ctx := context.Background()
-	const workers = 5
-	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i})
-			res, err := x.Execute(ctx, q)
-			if err != nil {
-				t.Errorf("worker %d failed despite unbatched fallback: %v", i, err)
-				return
-			}
-			want, _ := db.Execute(hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: i}))
-			if len(res.Tuples) != len(want.Tuples) {
-				t.Errorf("worker %d: %d tuples, want %d", i, len(res.Tuples), len(want.Tuples))
-			}
-		}(i)
+	x := New(inner, Options{MaxBatch: 8})
+	qs := makeQueries(5)
+	results, err := x.ExecuteBatch(context.Background(), qs)
+	if err != nil {
+		t.Fatalf("set failed despite unbatched fallback: %v", err)
 	}
-	wg.Wait()
+	for i, q := range qs {
+		want, _ := db.Execute(q)
+		if len(results[i].Tuples) != len(want.Tuples) {
+			t.Fatalf("query %d: %d tuples, want %d", i, len(results[i].Tuples), len(want.Tuples))
+		}
+	}
 	st := x.ExecStats()
 	if st.Batched != 0 {
 		t.Fatalf("failed batches reported %d batched queries", st.Batched)
 	}
-	if inner.batchCalls.Load() > 0 && st.WireCalls <= st.BatchRequests {
-		t.Fatalf("no unbatched retries recorded: %+v", st)
+	if inner.batchCalls.Load() != 1 || st.BatchRequests != 1 || st.WireCalls != 1+5 {
+		t.Fatalf("stats = %+v, want one failed batch and five unbatched retries", st)
 	}
 }
 
@@ -474,5 +510,34 @@ func TestExecutorConnInterface(t *testing.T) {
 	}
 	if fmt.Sprint(x.Limiter()) != "<nil>" {
 		t.Fatal("unlimited executor should have a nil limiter")
+	}
+}
+
+// errBatchConn fails every single query and every batch request.
+type errBatchConn struct{ errConn }
+
+func (e *errBatchConn) ExecuteBatch(context.Context, []hiddendb.Query) ([]*hiddendb.Result, error) {
+	return nil, e.err
+}
+
+// TestExecuteBatchFailureAbandonsLaterChunks: once a chunk fails, the
+// set's error comes back without sending the later chunks, and every
+// flight the set registered is published — none is left for a later
+// caller to wait on.
+func TestExecuteBatchFailureAbandonsLaterChunks(t *testing.T) {
+	ds := datagen.Vehicles(50, 7)
+	boom := errors.New("boom")
+	x := New(&errBatchConn{errConn{schema: ds.Schema, err: boom}}, Options{MaxBatch: 2})
+	if _, err := x.ExecuteBatch(context.Background(), makeQueries(5)); !errors.Is(err, boom) {
+		t.Fatalf("error = %v, want boom", err)
+	}
+	if st := x.ExecStats(); st.BatchRequests != 1 || st.WireCalls != 3 {
+		t.Fatalf("stats = %+v, want the first chunk's batch and its two fallbacks only", st)
+	}
+	x.mu.Lock()
+	left := len(x.calls)
+	x.mu.Unlock()
+	if left != 0 {
+		t.Fatalf("%d flights left registered", left)
 	}
 }

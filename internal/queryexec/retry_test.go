@@ -115,33 +115,15 @@ func (b *blippyBatchConn) ExecuteBatch(ctx context.Context, qs []hiddendb.Query)
 func TestBatchTransientRetryBeforeFallback(t *testing.T) {
 	db := testDB(t, 300)
 	inner := &blippyBatchConn{blippyConn: newBlippy(db, 0), maxFails: 1}
-	x := New(inner, Options{
-		BatchLinger: 5 * time.Millisecond, MaxBatch: 4,
-		TransientRetries: 2, Sleep: noSleep,
-	})
-	ctx := context.Background()
-
+	x := New(inner, Options{MaxBatch: 4, TransientRetries: 2, Sleep: noSleep})
 	qs := []hiddendb.Query{
 		hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 0}),
 		hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 1}),
 		hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 2}),
 		hiddendb.MustQuery(hiddendb.Predicate{Attr: datagen.VehAttrMake, Value: 3}),
 	}
-	errs := make([]error, len(qs))
-	done := make(chan struct{})
-	for i, q := range qs {
-		go func(i int, q hiddendb.Query) {
-			_, errs[i] = x.Execute(ctx, q)
-			done <- struct{}{}
-		}(i, q)
-	}
-	for range qs {
-		<-done
-	}
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("query %d: %v", i, err)
-		}
+	if _, err := x.ExecuteBatch(context.Background(), qs); err != nil {
+		t.Fatal(err)
 	}
 	st := x.ExecStats()
 	// The first batch wire request blipped; the retry succeeded as a

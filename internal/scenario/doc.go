@@ -9,7 +9,7 @@
 //
 // Every cell runs the full production stack — sampler replicas over a
 // shared history cache over the query-execution layer (coalescing,
-// micro-batching, AIMD admission, transient retry) over the faulted
+// AIMD admission, transient retry) over the faulted
 // connector — so the matrix exercises exactly the code paths a live
 // deployment uses. Bias is gated only on fault-free cells: content faults
 // (jitter, reordering) legitimately change the reachable distribution;

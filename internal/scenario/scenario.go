@@ -309,7 +309,6 @@ func runCell(ctx context.Context, p cellParams) CellResult {
 		K:          p.ds.K,
 		UseHistory: true,
 		Exec: hdsampler.ExecConfig{
-			BatchLinger:      200 * time.Microsecond,
 			MaxBatch:         8,
 			MaxInFlight:      8,
 			TransientRetries: 3,

@@ -136,6 +136,12 @@ type WalkTrace struct {
 	Truncated int // level spans dropped past maxTraceLevels
 
 	open bool // a BeginLevel without its EndLevel yet
+
+	// set maps the members of the query set being asked at once
+	// (BeginSet) onto their spans, -1 for a member past maxTraceLevels;
+	// nil outside a set. focus is the member the marks go to.
+	set   []int
+	focus int
 }
 
 func (t *WalkTrace) reset() {
@@ -155,6 +161,71 @@ func (t *WalkTrace) BeginLevel(walk, depth, attr, value int) {
 	}
 	t.Levels = append(t.Levels, LevelSpan{Walk: walk, Depth: depth, Attr: attr, Value: value})
 	t.open = true
+}
+
+// BeginSet opens one span per member of a query set asked at once
+// (formclient.ExecuteAll): member v is the probe of value v of attr at
+// this depth. Marks land on the member Focus names, EndLevel closes the
+// focused member, and EndSet closes the set.
+func (t *WalkTrace) BeginSet(walk, depth, attr, n int) {
+	if t == nil {
+		return
+	}
+	t.open = false
+	t.focus = -1
+	t.set = make([]int, n)
+	for v := range t.set {
+		t.set[v] = -1
+		if len(t.Levels) >= maxTraceLevels {
+			t.Truncated++
+			continue
+		}
+		t.set[v] = len(t.Levels)
+		t.Levels = append(t.Levels, LevelSpan{Walk: walk, Depth: depth, Attr: attr, Value: v})
+	}
+}
+
+// Focus directs the following marks to member i of the open set; it does
+// nothing outside a set.
+func (t *WalkTrace) Focus(i int) {
+	if t == nil || t.set == nil {
+		return
+	}
+	t.focus = i
+}
+
+// Narrow re-bases the open set onto the members a layer forwards: member
+// j becomes the former member idx[j]. It returns the previous mapping for
+// Restore (nil outside a set).
+func (t *WalkTrace) Narrow(idx []int) []int {
+	if t == nil || t.set == nil {
+		return nil
+	}
+	prev := t.set
+	t.set = make([]int, len(idx))
+	for j, i := range idx {
+		t.set[j] = prev[i]
+	}
+	t.focus = -1
+	return prev
+}
+
+// Restore undoes a Narrow.
+func (t *WalkTrace) Restore(prev []int) {
+	if t == nil || prev == nil {
+		return
+	}
+	t.set = prev
+	t.focus = -1
+}
+
+// EndSet closes the open query set.
+func (t *WalkTrace) EndSet() {
+	if t == nil {
+		return
+	}
+	t.set = nil
+	t.focus = -1
 }
 
 // EndLevel closes the current span with its outcome and total latency.
@@ -210,10 +281,20 @@ func (t *WalkTrace) SetAIMDLimit(limit float64) {
 	}
 }
 
-// cur returns the open span, or nil when none is (including on a nil
-// trace) — marks arriving outside a level are dropped, not misfiled.
+// cur returns the open span — in a set, the focused member's — or nil
+// when none is (including on a nil trace): marks arriving outside a level
+// are dropped, not misfiled.
 func (t *WalkTrace) cur() *LevelSpan {
-	if t == nil || !t.open || len(t.Levels) == 0 {
+	if t == nil {
+		return nil
+	}
+	if t.set != nil {
+		if t.focus < 0 || t.focus >= len(t.set) || t.set[t.focus] < 0 {
+			return nil
+		}
+		return &t.Levels[t.set[t.focus]]
+	}
+	if !t.open || len(t.Levels) == 0 {
 		return nil
 	}
 	return &t.Levels[len(t.Levels)-1]

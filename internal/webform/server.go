@@ -508,7 +508,7 @@ type batchResponse struct {
 
 // handleAPIBatch executes up to MaxBatch queries under one rate-limit
 // charge — the wire-amortization counterpart of the client's
-// micro-batching layer. Each query is validated like a form submission;
+// batching layer. Each query is validated like a form submission;
 // one bad query fails the whole batch (the client retries unbatched).
 func (s *Server) handleAPIBatch(w http.ResponseWriter, r *http.Request) {
 	if s.intercept(w, r) || s.rateLimited(w, r) {
